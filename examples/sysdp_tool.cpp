@@ -5,7 +5,7 @@
 //   sysdp_tool gen objective <vars> <domain> <seed>     (banded, eq. 36)
 //   sysdp_tool info <file>                              classify and describe
 //   sysdp_tool solve <file> [k] [--metrics] [--engine=modular|compiled]
-//                    [--batch=N] [--opt=0|1|2] [--replay-workers=N]
+//                    [--batch=N] [--opt=0|1|2]
 //                                                       route per Table 1
 //
 // `solve` dispatches exactly as core/solver.hpp: multistage graphs to the
@@ -21,9 +21,7 @@
 // multi-instance path the benchmarks use, driven from the CLI.
 // --opt=0|1|2 runs the tape optimizer pipeline at lowering time
 // (compile/optimize.hpp) — the replay stays oracle-checked, so an
-// optimizer bug can never change a printed answer.  --replay-workers=N
-// additionally replays through the thread-parallel executor on an
-// N-worker pool and verifies its outputs too.
+// optimizer bug can never change a printed answer.
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
@@ -37,7 +35,6 @@
 #include "compile/batch_engine.hpp"
 #include "compile/engine.hpp"
 #include "compile/lower.hpp"
-#include "compile/parallel_engine.hpp"
 #include "compile/profile.hpp"
 #include "obs/replay.hpp"
 #include "sim/batch.hpp"
@@ -61,7 +58,7 @@ int usage() {
                "  sysdp_tool info <file>\n"
                "  sysdp_tool solve <file> [k] [--metrics]\n"
                "                  [--engine=modular|compiled] [--batch=N]\n"
-               "                  [--opt=0|1|2] [--replay-workers=N]\n"
+               "                  [--opt=0|1|2]\n"
                "  sysdp_tool reduce <file>      stage-reduction plan "
                "(multistage only)\n");
   return 2;
@@ -191,8 +188,9 @@ void profiled_replays(const compile::Lowered& low,
 
 /// --batch=N: replay the tape across `n` oracle-bound lanes through the
 /// SIMD-batched executor, in chunks of 8 lanes (BatchRunner::run_chunks,
-/// serial here — the bench drives the pooled version).  Every lane is
-/// verified against the oracle's recorded outputs; any divergence throws.
+/// serial here; given a pool, chunks fan out across threads).  Every lane
+/// is verified against the oracle's recorded outputs; any divergence
+/// throws.
 /// Returns a human-readable throughput summary for the report.
 std::string batched_replay(const compile::Lowered& low, std::uint64_t n) {
   constexpr std::size_t kWidth = 8;
@@ -226,43 +224,16 @@ std::string batched_replay(const compile::Lowered& low, std::uint64_t n) {
 /// solvers share one signature.
 struct CompiledRoute {
   std::uint64_t batch = 1;
-  int opt = 0;                ///< --opt=N tape optimizer level
-  std::uint64_t workers = 0;  ///< --replay-workers=N pool size
-  bool parallel = false;      ///< --replay-workers given at all
+  int opt = 0;  ///< --opt=N tape optimizer level
 };
 
-/// --replay-workers=N: replay the verified tape once more through the
-/// thread-parallel executor on an N-worker pool and verify its outputs —
-/// the CLI face of ParallelCompiledEngine.  Reports the plan shape so the
-/// user can see whether the tape was wide enough to slice.
-std::string parallel_replay(const compile::Lowered& low,
-                            std::uint64_t workers) {
-  sim::ThreadPool pool(static_cast<std::size_t>(workers));
-  sim::WallTimer timer;
-  compile::ParallelCompiledEngine pe(low.net, &pool);
-  pe.run_all();
-  if (pe.verify_outputs(0).found) {
-    throw std::runtime_error(
-        "parallel replay diverged from the modular oracle");
-  }
-  const double secs = timer.seconds();
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "; parallel x%u: %llu sliced + %llu serial levels in %.3fs",
-                pe.participants(),
-                static_cast<unsigned long long>(pe.parallel_levels()),
-                static_cast<unsigned long long>(pe.serial_levels()), secs);
-  return buf;
-}
-
 /// Decorations shared by the compiled routes' method strings: optimizer
-/// level, batched throughput, parallel-replay plan.
+/// level and batched throughput.
 std::string route_suffix(const compile::Lowered& low,
                          const CompiledRoute& route) {
   std::string s;
   if (route.opt > 0) s += ", opt" + std::to_string(route.opt);
   if (route.batch > 1) s += batched_replay(low, route.batch);
-  if (route.parallel) s += parallel_replay(low, route.workers);
   return s;
 }
 
@@ -401,7 +372,7 @@ int main(int argc, char** argv) {
     const std::string cmd = argv[1];
     if (cmd == "gen") return cmd_gen(argc - 2, argv + 2);
     if (cmd == "info" && argc == 3) return cmd_info(argv[2]);
-    if (cmd == "solve" && argc >= 3 && argc <= 9) {
+    if (cmd == "solve" && argc >= 3 && argc <= 8) {
       std::uint64_t k = 1;
       bool metrics = false;
       bool compiled = false;
@@ -422,17 +393,14 @@ int main(int argc, char** argv) {
             std::fprintf(stderr, "error: --opt takes 0, 1 or 2\n");
             return 2;
           }
-        } else if (arg.rfind("--replay-workers=", 0) == 0) {
-          route.workers = std::stoull(arg.substr(17));
-          route.parallel = true;
         } else {
           k = std::stoull(arg);
         }
       }
-      if ((route.batch > 1 || route.opt > 0 || route.parallel) && !compiled) {
+      if ((route.batch > 1 || route.opt > 0) && !compiled) {
         std::fprintf(stderr,
-                     "note: --batch/--opt/--replay-workers require "
-                     "--engine=compiled; ignored\n");
+                     "note: --batch/--opt require --engine=compiled; "
+                     "ignored\n");
         route = CompiledRoute{};
       }
       return cmd_solve(argv[2], k, metrics, compiled, route);

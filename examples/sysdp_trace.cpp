@@ -1,9 +1,8 @@
 // One-shot telemetry capture for any registered design instance.
 //
 //   sysdp_trace [--design <substr>] [--out-dir <dir>] [--bucket <cycles>]
-//               [--pool <threads>] [--gating <dense|sparse>]
-//               [--engine <modular|compiled>] [--opt=0|1|2]
-//               [--replay-workers=N] [--dnc <N,K>] [--list]
+//               [--gating <dense|sparse>] [--engine <modular|compiled>]
+//               [--opt=0|1|2] [--dnc <N,K>] [--list]
 //
 // For every matching design of examples/design_registry.hpp (the same
 // fixed instances the lint gate certifies) the tool runs the array once on
@@ -14,8 +13,7 @@
 //   <name>.metrics.json  — sysdp-metrics-v1 counters/gauges + utilisation
 //                          timeline (per-PE busy deltas per bucket)
 //   <name>.trace.json    — Chrome trace-event JSON (chrome://tracing or
-//                          Perfetto); includes host thread-pool spans when
-//                          --pool is given
+//                          Perfetto)
 //
 // The tool cross-checks its own telemetry before writing: the timeline's
 // aggregate busy count must equal the run's busy_steps (the observer saw
@@ -46,10 +44,7 @@
 // the tape optimizer pipeline at that level, so the artifacts describe
 // the optimized schedule: the metrics document carries the optimizer's
 // own stats (tape.opt_level, tape.ops_pruned, tape.levels_fused) and the
-// cross-checks run against the rewritten tape.  --replay-workers=N
-// additionally replays the verified tape through the thread-parallel
-// executor on an N-worker pool, verifies its outputs, and records the
-// slicing plan (parallel.levels_sliced etc.) in the metrics.
+// cross-checks run against the rewritten tape.
 //
 // --dnc N,K additionally records the divide-and-conquer scheduler of
 // src/dnc/schedule over an N-leaf problem on K arrays and writes
@@ -58,7 +53,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -67,7 +61,6 @@
 #include "compile/batch_engine.hpp"
 #include "compile/engine.hpp"
 #include "compile/lower.hpp"
-#include "compile/parallel_engine.hpp"
 #include "compile/profile.hpp"
 #include "design_registry.hpp"
 #include "dnc/metrics.hpp"
@@ -78,7 +71,6 @@
 #include "obs/timeline.hpp"
 #include "obs/vcd.hpp"
 #include "sim/engine.hpp"
-#include "sim/thread_pool.hpp"
 
 namespace {
 
@@ -88,10 +80,8 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: sysdp_trace [--design <substring>] [--out-dir <dir>]\n"
-      "                   [--bucket <cycles>] [--pool <threads>]\n"
-      "                   [--gating <dense|sparse>]\n"
-      "                   [--engine <modular|compiled>]\n"
-      "                   [--opt=0|1|2] [--replay-workers=N]\n"
+      "                   [--bucket <cycles>] [--gating <dense|sparse>]\n"
+      "                   [--engine <modular|compiled>] [--opt=0|1|2]\n"
       "                   [--dnc <N,K>] [--list]\n");
   return 2;
 }
@@ -116,12 +106,9 @@ struct Options {
   std::string filter;
   std::string out_dir = ".";
   sim::Cycle bucket = 1;
-  std::size_t pool_threads = 0;
   sim::Gating gating = sim::Gating::kSparse;
   bool compiled = false;
   int opt_level = 0;
-  std::size_t replay_workers = 0;
-  bool parallel = false;
   bool list = false;
   bool dnc = false;
   std::uint64_t dnc_n = 0;
@@ -230,35 +217,7 @@ bool trace_design_compiled(const examples::DesignSpec& spec,
   batched.run_all();
   profiler.finish();
 
-  // --replay-workers=N: one more replay through the thread-parallel
-  // executor, verified against the same oracle outputs; its slicing plan
-  // lands in the metrics document below.
-  std::uint64_t par_sliced = 0;
-  std::uint64_t par_serial = 0;
-  std::uint64_t par_cuts_adjusted = 0;
-  std::uint32_t par_participants = 0;
-  if (opt.parallel) {
-    sim::ThreadPool ppool(opt.replay_workers);
-    compile::ParallelCompiledEngine pe(low.net, &ppool);
-    pe.run_all();
-    if (pe.verify_outputs(0).found) {
-      std::fprintf(stderr, "sysdp_trace: %s: parallel replay outputs diverge\n",
-                   spec.name.c_str());
-      return false;
-    }
-    par_sliced = pe.parallel_levels();
-    par_serial = pe.serial_levels();
-    par_cuts_adjusted = pe.cuts_adjusted();
-    par_participants = pe.participants();
-  }
-
   obs::MetricsRegistry metrics;
-  if (opt.parallel) {
-    metrics.set_counter("parallel.participants", par_participants);
-    metrics.set_counter("parallel.levels_sliced", par_sliced);
-    metrics.set_counter("parallel.levels_serial", par_serial);
-    metrics.set_counter("parallel.cuts_adjusted", par_cuts_adjusted);
-  }
   obs::profile_metrics(metrics, profiler);
   metrics.set_counter("replay.levels_executed", rres.levels_executed);
   metrics.set_counter("replay.levels_skipped", rres.levels_skipped);
@@ -315,11 +274,10 @@ bool trace_design_compiled(const examples::DesignSpec& spec,
 
 /// Capture one design: run with VCD + timeline observers, cross-check,
 /// write the three artifacts.  Returns false on telemetry mismatch.
-bool trace_design(const examples::DesignSpec& spec, const Options& opt,
-                  sim::ThreadPool* pool) {
+bool trace_design(const examples::DesignSpec& spec, const Options& opt) {
   const auto inst = spec.make();
 
-  sim::Engine engine(pool, opt.gating);
+  sim::Engine engine(opt.gating);
   obs::VcdSink vcd(file_base(spec.name));
   obs::TimelineSink timeline(
       inst->num_pes(),
@@ -327,10 +285,7 @@ bool trace_design(const examples::DesignSpec& spec, const Options& opt,
   engine.add_observer(&vcd);
   engine.add_observer(&timeline);
 
-  obs::PoolTraceRecorder pool_recorder;
-  if (pool != nullptr) pool->set_observer(&pool_recorder);
   inst->run(engine);
-  if (pool != nullptr) pool->set_observer(nullptr);
   timeline.finalize();
   const examples::RunStats& stats = inst->stats();
 
@@ -375,10 +330,6 @@ bool trace_design(const examples::DesignSpec& spec, const Options& opt,
   obs::ChromeTraceWriter trace;
   trace.process_name(2, "simulated: " + spec.name);
   obs::append_timeline_trace(trace, timeline, 2);
-  if (pool != nullptr) {
-    trace.process_name(3, "host: thread pool");
-    obs::append_pool_trace(trace, pool_recorder, 3);
-  }
 
   const std::filesystem::path dir(opt.out_dir);
   const std::string base = file_base(spec.name);
@@ -447,10 +398,6 @@ int main(int argc, char** argv) {
       const long v = std::atol(argv[++i]);
       if (v <= 0) return usage();
       opt.bucket = static_cast<sim::Cycle>(v);
-    } else if (arg == "--pool" && i + 1 < argc) {
-      const long v = std::atol(argv[++i]);
-      if (v <= 0) return usage();
-      opt.pool_threads = static_cast<std::size_t>(v);
     } else if (arg == "--gating" && i + 1 < argc) {
       const std::string_view g = argv[++i];
       if (g == "dense") {
@@ -471,11 +418,6 @@ int main(int argc, char** argv) {
       const long v = std::atol(std::string(arg.substr(6)).c_str());
       if (v < 0 || v > 2) return usage();
       opt.opt_level = static_cast<int>(v);
-    } else if (arg.rfind("--replay-workers=", 0) == 0) {
-      const long v = std::atol(std::string(arg.substr(17)).c_str());
-      if (v < 0) return usage();
-      opt.replay_workers = static_cast<std::size_t>(v);
-      opt.parallel = true;
     } else if (arg == "--dnc" && i + 1 < argc) {
       if (!parse_dnc(argv[++i], opt)) return usage();
     } else {
@@ -483,12 +425,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  if ((opt.opt_level > 0 || opt.parallel) && !opt.compiled) {
-    std::fprintf(stderr,
-                 "note: --opt/--replay-workers require --engine compiled; "
-                 "ignored\n");
+  if (opt.opt_level > 0 && !opt.compiled) {
+    std::fprintf(stderr, "note: --opt requires --engine compiled; ignored\n");
     opt.opt_level = 0;
-    opt.parallel = false;
   }
 
   const auto designs = examples::all_designs();
@@ -505,11 +444,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::unique_ptr<sim::ThreadPool> pool;
-  if (opt.pool_threads > 0) {
-    pool = std::make_unique<sim::ThreadPool>(opt.pool_threads);
-  }
-
   std::size_t traced = 0;
   bool ok = true;
   for (const auto& d : designs) {
@@ -517,7 +451,7 @@ int main(int argc, char** argv) {
       continue;
     }
     ok = (opt.compiled ? trace_design_compiled(d, opt)
-                       : trace_design(d, opt, pool.get())) &&
+                       : trace_design(d, opt)) &&
          ok;
     ++traced;
   }

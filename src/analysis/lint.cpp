@@ -77,8 +77,8 @@ void check_multiple_drivers(const Netlist& net, const Emitter& emit) {
 
 void check_comb_hazard(const Netlist& net, const Emitter& emit) {
   // A signal driver that is not a declared combinational module: the
-  // parallel engine would fan it out with the listeners, a same-phase
-  // read-after-write race.
+  // gated engine would sweep it with the listeners instead of ahead of
+  // them, a same-phase read-after-write hazard.
   for (const Storage& st : net.storages) {
     if (st.kind != sim::PortKind::kSignal) continue;
     for (const NodeId w : st.writers) {
@@ -86,8 +86,8 @@ void check_comb_hazard(const Netlist& net, const Emitter& emit) {
       if (n.module != nullptr && !n.combinational) {
         emit(n.name, st.label,
              "signal '" + st.label + "' is driven by " + n.name +
-                 ", which does not report combinational() — the parallel "
-                 "engine races it against same-cycle listeners");
+                 ", which does not report combinational() — the gated "
+                 "engine does not order it ahead of same-cycle listeners");
       }
     }
   }

@@ -561,8 +561,8 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
         if (def_level[s] == static_cast<std::int64_t>(t)) {
           // Same-level chain: legal only because the oracle executed the
           // defining op earlier in this very level (forward scan guarantees
-          // program order); the batch executor additionally needs both ends
-          // to be the same kind, or its kind-major partition reorders them.
+          // program order).  A cross-kind chain pins the level's order, so
+          // the optimizer's reorder pass cannot group it kind-major.
           ++st.in_level_chains;
           min_level = std::max(min_level, t);
           const Op& dop = net.ops[static_cast<std::size_t>(def_op[s])];
@@ -572,9 +572,9 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
                                    "a different-kind op (") +
                            kind_name(dop.kind) + " feeding " +
                            kind_name(op.kind) +
-                           ") — the batched executor's kind-major partition "
-                           "reorders across kinds and must fall back to "
-                           "serial order for this level",
+                           ") — the reorder pass cannot group this level "
+                           "kind-major, so the batched executor replays it "
+                           "in short mixed-kind runs",
                        Severity::kWarning);
           }
         } else {

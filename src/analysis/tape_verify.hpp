@@ -23,12 +23,11 @@
 //                         replay: every operand's definition lies in a
 //                         strictly earlier dependency level, or earlier
 //                         in the same level within a same-kind in-place
-//                         chain (which the batch executor's stable
-//                         kind-major partition preserves).  Reading a def
-//                         from a later level/op is a schedule violation
-//                         (error); a cross-kind in-level chain demotes
-//                         the level to the batch executor's original-
-//                         order fallback (warning).  Also accounts
+//                         chain (which the optimizer's stable kind-major
+//                         reordering preserves).  Reading a def from a
+//                         later level/op is a schedule violation (error);
+//                         a cross-kind in-level chain keeps the level out
+//                         of kind-major reordering (warning).  Also accounts
 //                         dependence depth vs. levels: ops scheduled
 //                         later than their dependence-minimal level carry
 //                         *transport slack* — the physical array's data
@@ -109,8 +108,8 @@ struct TapeVerifyStats {
   std::uint64_t outputs = 0;
   bool compacted = false;
   bool parameterised = false;
-  /// Same-level same-kind RAW reads (in-place fold chains) — the reads the
-  /// batch executor's stable kind-major partition must preserve.
+  /// Same-level RAW reads (in-place fold chains) — the reads the
+  /// optimizer's stable kind-major reordering must preserve.
   std::uint64_t in_level_chains = 0;
   /// Longest def-use chain through the tape, in ops.  The tape can never
   /// replay in fewer steps than this, whatever the schedule.

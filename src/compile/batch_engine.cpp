@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
 
 #include "compile/lane_math.hpp"
 #include "semiring/closed_semiring.hpp"
@@ -13,42 +12,10 @@ namespace sysdp::compile {
 
 // The branchless lane primitives (sel / lane_sat_add / the weight-class
 // lift) and the SYSDP_LANE_IVDEP / SYSDP_LANE_CLONES codegen macros live
-// in compile/lane_math.hpp, shared with ParallelCompiledEngine.
+// in compile/lane_math.hpp.
 using lanes::lane_sat_add;
 using lanes::lane_sat_add_w;
 using lanes::with_w_class;
-
-namespace {
-
-[[nodiscard]] constexpr std::uint8_t kind_rank(OpKind k) noexcept {
-  return static_cast<std::uint8_t>(k);
-}
-
-/// True if stable-partitioning this level's ops by kind would invert a
-/// writer→reader pair, i.e. some op reads a slot written earlier in the
-/// level by an op of a LATER partition rank.  SSA rules out WAW and WAR
-/// entirely (every destination is freshly allocated after its readers'
-/// sources), so RAW inversion is the only hazard.  Same-kind pairs keep
-/// their order under a stable partition, so only cross-kind pairs count.
-[[nodiscard]] bool cross_kind_raw(const CompiledNetlist& net, std::uint32_t lo,
-                                  std::uint32_t hi) {
-  std::unordered_map<sim::SlotId, OpKind> writer;
-  for (std::uint32_t i = lo; i < hi; ++i) {
-    const Op& op = net.ops[i];
-    const auto inverted = [&](sim::SlotId src) {
-      const auto it = writer.find(src);
-      return it != writer.end() && kind_rank(op.kind) < kind_rank(it->second);
-    };
-    if (inverted(op.a) || inverted(op.b)) return true;
-    if (op.kind == OpKind::kFold && inverted(op.c)) return true;
-    if (op.kind == OpKind::kRelax && inverted(op.a + 1)) return true;
-    writer[op.dst] = op.kind;
-    if (op.kind == OpKind::kRelax) writer[op.dst + 1] = op.kind;
-  }
-  return false;
-}
-
-}  // namespace
 
 BatchedCompiledEngine::BatchedCompiledEngine(const CompiledNetlist& net,
                                              std::uint32_t lanes)
@@ -67,39 +34,20 @@ BatchedCompiledEngine::BatchedCompiledEngine(const CompiledNetlist& net,
   }
   oracle_bound_.assign(lanes, 1);
 
-  // Partition each level into kind-major runs (see class comment).  The
-  // execution order is a permutation of op indices; runs delimit the
-  // homogeneous spans a single monomorphic kernel sweeps.
-  order_.reserve(net.ops.size());
+  // Split each level into runs at kind boundaries, in tape order (see
+  // class comment); runs delimit the homogeneous spans a single
+  // monomorphic kernel sweeps.
   level_run_off_.reserve(net.cycle_off.size());
   level_run_off_.push_back(0);
   for (std::uint32_t t = 0; t + 1 < net.cycle_off.size(); ++t) {
     const std::uint32_t lo = net.cycle_off[t];
     const std::uint32_t hi = net.cycle_off[t + 1];
-    if (hi > lo) {
-      live_levels_.push_back(t);
-      const auto seg = static_cast<std::uint32_t>(order_.size());
-      if (!cross_kind_raw(net, lo, hi)) {
-        for (const OpKind k :
-             {OpKind::kMac, OpKind::kFold, OpKind::kRelax}) {
-          for (std::uint32_t i = lo; i < hi; ++i) {
-            if (net.ops[i].kind == k) order_.push_back(i);
-          }
-        }
-      } else {
-        ++fallback_levels_;
-        for (std::uint32_t i = lo; i < hi; ++i) order_.push_back(i);
+    if (hi > lo) live_levels_.push_back(t);
+    for (std::uint32_t i = lo; i < hi; ++i) {
+      if (i == lo || net.ops[i].kind != net.ops[i - 1].kind) {
+        runs_.push_back({i, i, net.ops[i].kind});
       }
-      // Emit runs at kind boundaries of the (possibly reordered) segment.
-      std::uint32_t run_lo = seg;
-      for (std::uint32_t k = seg + 1; k < order_.size(); ++k) {
-        if (net.ops[order_[k]].kind != net.ops[order_[run_lo]].kind) {
-          runs_.push_back({run_lo, k, net.ops[order_[run_lo]].kind});
-          run_lo = k;
-        }
-      }
-      runs_.push_back({run_lo, static_cast<std::uint32_t>(order_.size()),
-                       net.ops[order_[run_lo]].kind});
+      runs_.back().hi = i + 1;
     }
     level_run_off_.push_back(static_cast<std::uint32_t>(runs_.size()));
   }
@@ -203,7 +151,6 @@ struct RunCtx {
   Cost* slots;
   const Cost* wtab;
   const Op* ops;
-  const std::uint32_t* ord;
   const KindRun* runs;
   std::uint32_t lanes;
 };
@@ -226,13 +173,12 @@ inline void exec_runs_impl(const RunCtx& ctx, std::uint32_t rlo,
   Cost* const slots = ctx.slots;
   const Cost* const wtab = ctx.wtab;
   const Op* const ops = ctx.ops;
-  const std::uint32_t* const ord = ctx.ord;
   for (std::uint32_t r = rlo; r < rhi; ++r) {
     const KindRun& run = ctx.runs[r];
     switch (run.kind) {
       case OpKind::kMac:
         for (std::uint32_t k = run.lo; k < run.hi; ++k) {
-          const Op& op = ops[ord[k]];
+          const Op& op = ops[k];
           const Cost* const __restrict pa = slots + std::size_t{op.a} * B;
           const Cost* const __restrict pb = slots + std::size_t{op.b} * B;
           Cost* const __restrict d = slots + std::size_t{op.dst} * B;
@@ -257,7 +203,7 @@ inline void exec_runs_impl(const RunCtx& ctx, std::uint32_t rlo,
         break;
       case OpKind::kFold:
         for (std::uint32_t k = run.lo; k < run.hi; ++k) {
-          const Op& op = ops[ord[k]];
+          const Op& op = ops[k];
           const Cost* const __restrict pa = slots + std::size_t{op.a} * B;
           const Cost* const __restrict pb = slots + std::size_t{op.b} * B;
           const Cost* const __restrict pc = slots + std::size_t{op.c} * B;
@@ -288,7 +234,7 @@ inline void exec_runs_impl(const RunCtx& ctx, std::uint32_t rlo,
         break;
       case OpKind::kRelax:
         for (std::uint32_t k = run.lo; k < run.hi; ++k) {
-          const Op& op = ops[ord[k]];
+          const Op& op = ops[k];
           const Cost* const __restrict pa = slots + std::size_t{op.a} * B;
           const Cost* const __restrict paarg =
               slots + (std::size_t{op.a} + 1) * B;
@@ -394,7 +340,7 @@ void BatchedCompiledEngine::exec_level(std::uint32_t level) {
   // way.
   const bool param = !weights_.empty() && rebound_lanes_ != 0;
   const RunCtx ctx{slots_.data(), param ? weights_.data() : nullptr,
-                   net_->ops.data(), order_.data(), runs_.data(), lanes_};
+                   net_->ops.data(), runs_.data(), lanes_};
   exec_runs_dispatch(ctx, rlo, rhi, net_->semiring, param);
   ops_executed_ += std::uint64_t{net_->cycle_off[level + 1] -
                                  net_->cycle_off[level]} *

@@ -18,16 +18,13 @@
 //     destination row never aliases a source row and the lane loops carry
 //     no loop-carried dependence.
 //
-// At load time each dependency level's ops are stable-partitioned into
-// kind-major runs (all kMac, then all kFold, then all kRelax) so the lane
-// loops stay monomorphic — same kernel, thousands of iterations, no
-// branch in sight.  Stable partition preserves the order of same-kind ops,
-// which is where all in-level RAW dependences live (in-place fold chains
-// recorded in oracle order); if a level ever carries a cross-kind RAW that
-// the partition would invert, construction detects it and falls back to
-// original-order homogeneous runs for that level (none of the paper
-// designs trigger this — each lowers to a single op kind — but the check
-// keeps the reordering honest for future tapes).
+// At load time each dependency level is split, in tape order, into runs
+// at kind boundaries so the lane loops stay monomorphic — same kernel,
+// thousands of iterations, no branch in sight.  Tape order is always a
+// legal execution order, so no in-level dependence needs checking here.
+// Grouping a level kind-major, which makes its runs long, is the
+// optimizer's job (reorder_levels, compile/optimize.hpp); every paper
+// design already lowers to one op kind per level.
 //
 // Lanes bind weight tables independently on parameterised tapes
 // (compile/lower.hpp, LowerOptions::parameterise): one lowering of a
@@ -50,11 +47,11 @@
 
 namespace sysdp::compile {
 
-/// One homogeneous span of a batched execution order: ops order[lo..hi)
-/// are all of `kind`, executed back to back by one monomorphic lane
-/// kernel.  Namespace-scope (not nested in the engine) because the lane
-/// kernels are free functions compiled per ISA via function
-/// multiversioning (batch_engine.cpp) and need to name the type.
+/// One homogeneous span of a level: tape ops [lo, hi) are all of `kind`,
+/// executed back to back by one monomorphic lane kernel.  Namespace-scope (not
+/// nested in the engine) because the lane kernels are free functions compiled
+/// per ISA via function multiversioning (batch_engine.cpp) and need to name the
+/// type.
 struct KindRun {
   std::uint32_t lo = 0;
   std::uint32_t hi = 0;
@@ -122,13 +119,9 @@ class BatchedCompiledEngine {
   [[nodiscard]] std::uint64_t levels_skipped() const noexcept {
     return levels_skipped_;
   }
-  /// Kind-major runs the tape was partitioned into at load time.
+  /// Single-kind runs the tape was split into at load time.
   [[nodiscard]] std::uint64_t kind_runs() const noexcept {
     return runs_.size();
-  }
-  /// Levels where a cross-kind in-level RAW forced original-order runs.
-  [[nodiscard]] std::uint64_t fallback_levels() const noexcept {
-    return fallback_levels_;
   }
 
   /// Activity accounting so far, in op-lane executions (ops × lanes) like
@@ -164,8 +157,6 @@ class BatchedCompiledEngine {
   /// table is bit-identical to the immediates then, and skipping it keeps
   /// oracle-bound replays compute-bound instead of bandwidth-bound.
   std::uint32_t rebound_lanes_ = 0;
-  /// Kind-major execution order: permutation of op indices, level by level.
-  std::vector<std::uint32_t> order_;
   std::vector<KindRun> runs_;
   /// CSR over levels into `runs_`: level t executes runs
   /// [level_run_off_[t], level_run_off_[t+1]).
@@ -179,7 +170,6 @@ class BatchedCompiledEngine {
   std::uint64_t mac_ops_ = 0;
   std::uint64_t fold_ops_ = 0;
   std::uint64_t relax_ops_ = 0;
-  std::uint64_t fallback_levels_ = 0;
 };
 
 }  // namespace sysdp::compile

@@ -214,8 +214,8 @@ std::uint64_t reorder_levels(CompiledNetlist& net) {
       });
     }
     // In-level edges: which kinds participate in a chain, and whether any
-    // edge crosses kinds (then order is semantic for the serial fallback
-    // and the level must stay exactly as recorded).
+    // edge crosses kinds (then order is semantic and the level must stay
+    // exactly as recorded).
     std::array<bool, 3> kind_chained{false, false, false};
     bool cross_kind = false;
     for (std::uint32_t i = lo; i < hi; ++i) {

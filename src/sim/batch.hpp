@@ -3,7 +3,7 @@
 // Every bench sweep (N-sweeps, K-sweeps, design ablations) runs a set of
 // simulations that share nothing — each job builds its own array model,
 // engine and stats — so they are embarrassingly parallel and this is where
-// the big wall-clock win of the parallel backend lives.  BatchRunner keeps
+// the simulator's only thread-level parallelism lives.  BatchRunner keeps
 // the sweep code shaped exactly like the serial loop it replaces: jobs are
 // indexed 0..n-1, results come back in index order, and a pool with zero
 // workers (or a null pool) degenerates to the serial loop, so thread-count
@@ -45,11 +45,10 @@ class BatchRunner {
     auto body = [&](std::size_t i) { slots[i].emplace(make(i)); };
     if (pool_ != nullptr) {
       // Dynamic claiming, one job per claim: sweep points differ wildly in
-      // cost (a 96-PE design next to a 4-PE one), so the static per-lane
-      // split used for engine phases serialises slow jobs behind each
-      // other and loses at small grain.  Which lane runs which job is
-      // scheduling-dependent; results stay bit-identical because slots are
-      // addressed by index.
+      // cost (a 96-PE design next to a 4-PE one), so a static per-lane
+      // split would serialise slow jobs behind each other.  Which lane runs
+      // which job is scheduling-dependent; results stay bit-identical
+      // because slots are addressed by index.
       pool_->parallel_for_dynamic(n, body, 1);
     } else {
       for (std::size_t i = 0; i < n; ++i) body(i);

@@ -20,6 +20,7 @@
 #include "compile/batch_engine.hpp"
 #include "compile/engine.hpp"
 #include "compile/lower.hpp"
+#include "compile/optimize.hpp"
 #include "compile/program.hpp"
 #include "graph/generators.hpp"
 
@@ -44,7 +45,7 @@ TEST(CompiledBackend, Design1TapeReplaysBitIdentically) {
     const auto [mats, v] = string_instance(q, m, q * 7700 + m);
 
     Design1Modular oracle_arr(mats, v);
-    const auto interpreted = oracle_arr.run(nullptr, sim::Gating::kDense);
+    const auto interpreted = oracle_arr.run(sim::Gating::kDense);
 
     Design1Modular arr(mats, v);
     const auto low = compile::lower_array(arr);
@@ -112,7 +113,7 @@ TEST(CompiledBackend, Design2TapeReplaysBitIdentically) {
     const auto [mats, v] = string_instance(q, m, q * 8100 + m);
 
     Design2Modular oracle_arr(mats, v);
-    const auto interpreted = oracle_arr.run(nullptr, sim::Gating::kDense);
+    const auto interpreted = oracle_arr.run(sim::Gating::kDense);
 
     Design2Modular arr(mats, v);
     const auto low = compile::lower_array(arr);
@@ -137,7 +138,7 @@ TEST(CompiledBackend, Design3TapeReplaysBitIdentically) {
     const auto nv = traffic_control_instance(n, m, rng);
 
     Design3Modular oracle_arr(nv);
-    const auto interpreted = oracle_arr.run(nullptr, sim::Gating::kDense);
+    const auto interpreted = oracle_arr.run(sim::Gating::kDense);
 
     Design3Modular arr(nv);
     const auto low = compile::lower_array(arr);
@@ -170,7 +171,7 @@ TEST(CompiledBackend, GktTapeReplaysBitIdentically) {
     const auto dims = random_chain_dims(n, rng);
 
     GktModularArray oracle_arr(dims);
-    const auto interpreted = oracle_arr.run(nullptr, sim::Gating::kDense);
+    const auto interpreted = oracle_arr.run(sim::Gating::kDense);
 
     GktModularArray arr(dims);
     const auto low = compile::lower_array(arr);
@@ -201,7 +202,7 @@ TEST(CompiledBackend, TriangularTapesReplayBitIdentically) {
     const auto check = [&](auto make_array, const char* what) {
       SCOPED_TRACE(what);
       auto oracle_arr = make_array();
-      const auto interpreted = oracle_arr.run(nullptr, sim::Gating::kDense);
+      const auto interpreted = oracle_arr.run(sim::Gating::kDense);
       auto arr = make_array();
       const auto low = compile::lower_array(arr);
       EXPECT_EQ(low.net.num_ops(), interpreted.stats.busy_steps);
@@ -413,7 +414,6 @@ TEST(CompiledBatch, SingleLaneMatchesScalarEngine) {
   ce.run_all();
   compile::BatchedCompiledEngine be(low.net, 1);
   EXPECT_EQ(be.lanes(), 1u);
-  EXPECT_EQ(be.fallback_levels(), 0u);
   EXPECT_GT(be.kind_runs(), 0u);
   be.run_all();
   EXPECT_EQ(be.ops_executed(), low.net.num_ops());
@@ -431,6 +431,41 @@ TEST(CompiledBatch, SingleLaneMatchesScalarEngine) {
   EXPECT_EQ(be.now(), 0u);
   be.run_all();
   EXPECT_FALSE(be.verify_outputs(0).found);
+}
+
+TEST(CompiledBatch, MixedKindLevelRunsInTapeOrder) {
+  // One level holding mac, fold, mac in tape order: the batched engine
+  // splits it at kind boundaries without reordering (3 runs), and only the
+  // optimizer's reorder pass groups it kind-major (2 runs).
+  compile::CompiledNetlist net;
+  net.num_slots = 7;
+  net.init = {{0, 10}, {1, 4}, {2, 7}, {3, 3}};
+  net.ops = {{4, 0, 1, 0, 5, compile::OpKind::kMac, 0},    // min(10, 5+4)
+             {5, 0, 2, 3, 1, compile::OpKind::kFold, 1},   // min(10, 7+3+1)
+             {6, 2, 3, 0, 2, compile::OpKind::kMac, 2}};   // min(7, 2+3)
+  net.cycle_off = {0, 3};
+  net.expected = {9, 10, 5};
+
+  const auto expect_matches_scalar = [](const compile::CompiledNetlist& tape,
+                                        std::uint64_t runs) {
+    compile::CompiledEngine ce(tape);
+    EXPECT_FALSE(ce.run_all_checked().found);
+    for (const std::uint32_t lanes : {1u, 8u}) {
+      SCOPED_TRACE("B=" + std::to_string(lanes));
+      compile::BatchedCompiledEngine be(tape, lanes);
+      EXPECT_EQ(be.kind_runs(), runs);
+      be.run_all();
+      for (std::uint32_t l = 0; l < lanes; ++l) {
+        for (sim::SlotId s = 0; s < tape.num_slots; ++s) {
+          ASSERT_EQ(be.value(s, l), ce.value(s)) << "lane " << l << " slot "
+                                                 << s;
+        }
+      }
+    }
+  };
+  expect_matches_scalar(net, 3);
+  EXPECT_EQ(compile::reorder_levels(net), 1u);
+  expect_matches_scalar(net, 2);
 }
 
 TEST(CompiledBatch, PerLaneBindOnHandBuiltTape) {

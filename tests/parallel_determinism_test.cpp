@@ -1,23 +1,18 @@
-// Determinism of the parallel simulation backend.
+// Determinism of the simulation backend across execution modes.
 //
-// The two-phase register semantics make eval order-independent for
-// register-only modules, so the threaded engine must be *bit-identical* to
-// the serial engine — same costs, cycle counts, busy steps and utilisation
-// — for every design, problem size and thread count (including a pool with
-// zero workers, the degenerate serial case).  The same contract holds for
-// the batch runner: a sweep fanned across the pool returns exactly the
-// results of the serial loop, in index order.
+// The batch runner fans whole simulations across a pool: a sweep must
+// return exactly the results of the serial loop, in index order, for
+// every thread count (including a pool with zero workers, the degenerate
+// serial case).  Within one run, the telemetry documents must not depend
+// on the gating mode.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <iterator>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "arrays/design1_modular.hpp"
-#include "arrays/design2_modular.hpp"
-#include "arrays/design3_modular.hpp"
 #include "arrays/gkt_array.hpp"
 #include "arrays/gkt_modular.hpp"
 #include "arrays/triangular_array.hpp"
@@ -34,8 +29,7 @@ namespace {
 // thread, then a few genuinely concurrent shapes.
 const std::size_t kWorkerCounts[] = {0, 1, 2, 3, 7};
 
-// Both gating modes: every (workers, gating) combination must reproduce
-// the serial dense run bit-for-bit.
+// Both gating modes must reproduce the dense run bit-for-bit.
 const sim::Gating kGatings[] = {sim::Gating::kDense, sim::Gating::kSparse};
 
 struct Instance {
@@ -53,121 +47,19 @@ Instance string_instance(std::size_t q, std::size_t m, std::uint64_t seed) {
   return ins;
 }
 
-template <typename V>
-void expect_identical(const RunResult<V>& serial, const RunResult<V>& par) {
-  EXPECT_EQ(serial.values, par.values);
-  EXPECT_EQ(serial.cycles, par.cycles);
-  EXPECT_EQ(serial.busy_steps, par.busy_steps);
-  EXPECT_EQ(serial.num_pes, par.num_pes);
-  EXPECT_EQ(serial.input_scalars, par.input_scalars);
-  EXPECT_DOUBLE_EQ(serial.utilization_wall(), par.utilization_wall());
-}
-
-TEST(ParallelDeterminism, Design1BitIdenticalAcrossThreadCounts) {
-  const std::pair<std::size_t, std::size_t> shapes[] = {
-      {2, 4}, {3, 8}, {4, 16}, {5, 32}};
-  for (const auto& [q, m] : shapes) {
-    const auto ins = string_instance(q, m, q * 1000 + m);
-    Design1Modular serial_arr(ins.mats, ins.v);
-    const auto serial = serial_arr.run(nullptr, sim::Gating::kDense);
-    for (const std::size_t workers : kWorkerCounts) {
-      for (const sim::Gating gating : kGatings) {
-        sim::ThreadPool pool(workers);
-        Design1Modular par_arr(ins.mats, ins.v);
-        const auto par = par_arr.run(&pool, gating);
-        SCOPED_TRACE("q=" + std::to_string(q) + " m=" + std::to_string(m) +
-                     " workers=" + std::to_string(workers) + " sparse=" +
-                     std::to_string(gating == sim::Gating::kSparse));
-        expect_identical(serial, par);
-      }
-    }
-  }
-}
-
-TEST(ParallelDeterminism, Design2BitIdenticalAcrossThreadCounts) {
-  const std::pair<std::size_t, std::size_t> shapes[] = {
-      {2, 4}, {3, 8}, {4, 16}, {6, 24}};
-  for (const auto& [q, m] : shapes) {
-    const auto ins = string_instance(q, m, q * 2000 + m);
-    Design2Modular serial_arr(ins.mats, ins.v);
-    const auto serial = serial_arr.run(nullptr, sim::Gating::kDense);
-    for (const std::size_t workers : kWorkerCounts) {
-      for (const sim::Gating gating : kGatings) {
-        sim::ThreadPool pool(workers);
-        Design2Modular par_arr(ins.mats, ins.v);
-        const auto par = par_arr.run(&pool, gating);
-        SCOPED_TRACE("q=" + std::to_string(q) + " m=" + std::to_string(m) +
-                     " workers=" + std::to_string(workers) + " sparse=" +
-                     std::to_string(gating == sim::Gating::kSparse));
-        expect_identical(serial, par);
-      }
-    }
-  }
-}
-
-TEST(ParallelDeterminism, Design3BitIdenticalAcrossThreadCounts) {
-  const std::pair<std::size_t, std::size_t> shapes[] = {
-      {4, 4}, {8, 8}, {12, 16}, {16, 24}};
-  for (const auto& [n, m] : shapes) {
-    Rng rng(n * 31 + m);
-    const auto nv = traffic_control_instance(n, m, rng);
-    Design3Modular serial_arr(nv);
-    const auto serial = serial_arr.run(nullptr, sim::Gating::kDense);
-    for (const std::size_t workers : kWorkerCounts) {
-      for (const sim::Gating gating : kGatings) {
-        sim::ThreadPool pool(workers);
-        Design3Modular par_arr(nv);
-        const auto par = par_arr.run(&pool, gating);
-        SCOPED_TRACE("n=" + std::to_string(n) + " m=" + std::to_string(m) +
-                     " workers=" + std::to_string(workers) + " sparse=" +
-                     std::to_string(gating == sim::Gating::kSparse));
-        EXPECT_EQ(serial.cost, par.cost);
-        EXPECT_EQ(serial.path, par.path);
-        expect_identical(serial.stats, par.stats);
-      }
-    }
-  }
-}
-
-// The modular GKT cell array runs on the engine directly: every (workers,
-// gating) combination must reproduce the serial dense run bit-for-bit.
-TEST(ParallelDeterminism, GktModularBitIdenticalAcrossThreadCounts) {
-  for (const std::size_t n : {3u, 8u, 16u, 24u}) {
-    Rng rng(300 + n);
-    const auto dims = random_chain_dims(n, rng);
-    GktModularArray arr(dims);
-    const auto serial = arr.run(nullptr, sim::Gating::kDense);
-    for (const std::size_t workers : kWorkerCounts) {
-      for (const sim::Gating gating : kGatings) {
-        sim::ThreadPool pool(workers);
-        const auto par = arr.run(&pool, gating);
-        SCOPED_TRACE("n=" + std::to_string(n) +
-                     " workers=" + std::to_string(workers) + " sparse=" +
-                     std::to_string(gating == sim::Gating::kSparse));
-        EXPECT_EQ(serial.total(), par.total());
-        EXPECT_EQ(serial.completion(), par.completion());
-        EXPECT_EQ(serial.stats.cycles, par.stats.cycles);
-        EXPECT_EQ(serial.stats.busy_steps, par.stats.busy_steps);
-        EXPECT_EQ(serial.peak_operand_buffer, par.peak_operand_buffer);
-      }
-    }
-  }
-}
-
-// The determinism contract extends to the telemetry documents: probes read
+// Telemetry determinism: probes read
 // committed state on cycle boundaries, so the VCD dump and the utilisation
-// timeline must be *byte-identical* across every engine mode, not merely
+// timeline must be *byte-identical* across both gating modes, not merely
 // the scalar results.  One divergent waveform byte means an observer saw
-// mid-cycle or thread-dependent state.
+// mid-cycle or gating-dependent state.
 struct TelemetryDoc {
   std::string vcd;
   std::string timeline;
 };
 
 template <typename Array>
-TelemetryDoc capture_telemetry(Array& arr, sim::ThreadPool* pool,
-                               sim::Gating gating) {
-  sim::Engine engine(pool, gating);
+TelemetryDoc capture_telemetry(Array& arr, sim::Gating gating) {
+  sim::Engine engine(gating);
   obs::VcdSink vcd;
   obs::TimelineSink timeline(
       arr.num_pes(), [&arr](std::size_t pe) { return arr.pe_busy(pe); });
@@ -181,18 +73,14 @@ TelemetryDoc capture_telemetry(Array& arr, sim::ThreadPool* pool,
 TEST(ParallelDeterminism, Design1TelemetryBitIdenticalAcrossModes) {
   const auto ins = string_instance(3, 8, 3008);
   Design1Modular ref_arr(ins.mats, ins.v);
-  const auto ref = capture_telemetry(ref_arr, nullptr, sim::Gating::kDense);
+  const auto ref = capture_telemetry(ref_arr, sim::Gating::kDense);
   ASSERT_FALSE(ref.vcd.empty());
-  for (const std::size_t workers : kWorkerCounts) {
-    for (const sim::Gating gating : kGatings) {
-      sim::ThreadPool pool(workers);
-      Design1Modular arr(ins.mats, ins.v);
-      const auto doc = capture_telemetry(arr, &pool, gating);
-      SCOPED_TRACE("workers=" + std::to_string(workers) + " sparse=" +
-                   std::to_string(gating == sim::Gating::kSparse));
-      EXPECT_EQ(ref.vcd, doc.vcd);
-      EXPECT_EQ(ref.timeline, doc.timeline);
-    }
+  for (const sim::Gating gating : kGatings) {
+    Design1Modular arr(ins.mats, ins.v);
+    const auto doc = capture_telemetry(arr, gating);
+    SCOPED_TRACE("sparse=" + std::to_string(gating == sim::Gating::kSparse));
+    EXPECT_EQ(ref.vcd, doc.vcd);
+    EXPECT_EQ(ref.timeline, doc.timeline);
   }
 }
 
@@ -200,18 +88,14 @@ TEST(ParallelDeterminism, GktModularTelemetryBitIdenticalAcrossModes) {
   Rng rng(308);
   const auto dims = random_chain_dims(8, rng);
   GktModularArray ref_arr(dims);
-  const auto ref = capture_telemetry(ref_arr, nullptr, sim::Gating::kDense);
+  const auto ref = capture_telemetry(ref_arr, sim::Gating::kDense);
   ASSERT_FALSE(ref.vcd.empty());
-  for (const std::size_t workers : kWorkerCounts) {
-    for (const sim::Gating gating : kGatings) {
-      sim::ThreadPool pool(workers);
-      GktModularArray arr(dims);
-      const auto doc = capture_telemetry(arr, &pool, gating);
-      SCOPED_TRACE("workers=" + std::to_string(workers) + " sparse=" +
-                   std::to_string(gating == sim::Gating::kSparse));
-      EXPECT_EQ(ref.vcd, doc.vcd);
-      EXPECT_EQ(ref.timeline, doc.timeline);
-    }
+  for (const sim::Gating gating : kGatings) {
+    GktModularArray arr(dims);
+    const auto doc = capture_telemetry(arr, gating);
+    SCOPED_TRACE("sparse=" + std::to_string(gating == sim::Gating::kSparse));
+    EXPECT_EQ(ref.vcd, doc.vcd);
+    EXPECT_EQ(ref.timeline, doc.timeline);
   }
 }
 

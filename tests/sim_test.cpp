@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -186,8 +185,8 @@ TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
   EXPECT_EQ(pool.num_workers(), 3u);
   EXPECT_EQ(pool.num_lanes(), 4u);
   std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(hits.size(),
-                    [&](std::size_t i) { hits[i].fetch_add(1); });
+  pool.parallel_for_dynamic(hits.size(),
+                            [&](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
@@ -195,7 +194,7 @@ TEST(ThreadPool, ZeroWorkersRunsInline) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.num_lanes(), 1u);
   std::vector<int> hits(17, 0);
-  pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i] = 1; });
+  pool.parallel_for_dynamic(hits.size(), [&](std::size_t i) { hits[i] = 1; });
   EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 17);
   EXPECT_EQ(pool.submit([] { return 41 + 1; }).get(), 42);
 }
@@ -207,42 +206,6 @@ TEST(ThreadPool, SubmitRunsTasks) {
     futs.push_back(pool.submit([i] { return i * i; }));
   }
   for (int i = 0; i < 32; ++i) EXPECT_EQ(futs[static_cast<std::size_t>(i)].get(), i * i);
-}
-
-// 16 stages so the parallel engine actually crosses kMinParallelModules and
-// exercises the threaded eval/commit phases.
-TEST(Engine, ParallelShiftChainMatchesSerial) {
-  constexpr std::size_t kStages = 16;
-  const auto build = [](std::vector<std::unique_ptr<ShiftStage>>& stages,
-                        Engine& eng) {
-    for (std::size_t i = 0; i < kStages; ++i) {
-      const Register<int>* prev =
-          i == 0 ? nullptr : &stages[i - 1]->out_;
-      stages.push_back(
-          std::make_unique<ShiftStage>("s" + std::to_string(i), prev));
-      eng.add(*stages.back());
-    }
-    stages.front()->out_.reset(99);
-  };
-
-  std::vector<std::unique_ptr<ShiftStage>> serial_stages;
-  Engine serial;
-  build(serial_stages, serial);
-  ThreadPool pool(3);
-  std::vector<std::unique_ptr<ShiftStage>> par_stages;
-  Engine parallel(&pool);
-  build(par_stages, parallel);
-  EXPECT_TRUE(parallel.parallel());
-
-  for (std::size_t c = 0; c < kStages + 2; ++c) {
-    serial.step();
-    parallel.step();
-    for (std::size_t i = 0; i < kStages; ++i) {
-      ASSERT_EQ(par_stages[i]->out_.read(), serial_stages[i]->out_.read())
-          << "stage " << i << " cycle " << c;
-    }
-  }
-  EXPECT_EQ(parallel.module_evals(), (kStages + 2) * kStages);
 }
 
 TEST(BatchRunner, ResultsInIndexOrderAndMatchSerial) {

@@ -109,8 +109,8 @@ TEST(TapeVerify, DefBeforeUseFixtureDanglingSlot) {
 TEST(TapeVerify, LevelScheduleFixtureCrossKindInLevelChain) {
   auto net = small_tape();
   // Pull op 1 into level 0 and make it a fold: it now consumes the mac's
-  // same-level result across kinds, which the batched executor's
-  // kind-major partition would reorder.
+  // same-level result across kinds, which pins the level out of the
+  // optimizer's kind-major reordering.
   net.ops[1] = {3, 0, 2, 1, 3, OpKind::kFold, 1};
   net.cycle_off = {0, 2, 2};
   net.expected = {9, 10};

@@ -1,6 +1,6 @@
 // ThreadPool unit tests: the degenerate zero-worker pool, exception
-// propagation through submit(), and one pool borrowed by several engines
-// at once (the sharing pattern BatchRunner and the bench harness rely on).
+// propagation through submit(), and one pool shared by several batch
+// runners at once (the sharing pattern the bench harness relies on).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +13,7 @@
 #include "arrays/design1_modular.hpp"
 #include "arrays/graph_adapter.hpp"
 #include "graph/generators.hpp"
+#include "sim/batch.hpp"
 #include "sim/thread_pool.hpp"
 
 namespace sysdp {
@@ -23,10 +24,11 @@ TEST(ThreadPool, ZeroWorkersRunsInlineAndCoversEveryIndex) {
   EXPECT_EQ(pool.num_workers(), 0u);
   EXPECT_EQ(pool.num_lanes(), 1u);
 
-  // parallel_for must degenerate to a plain loop on the caller: every
-  // index exactly once, in order (inline execution has no other choice).
+  // parallel_for_dynamic must degenerate to a plain loop on the caller:
+  // every index exactly once, in order (inline execution has no other
+  // choice).
   std::vector<std::size_t> order;
-  pool.parallel_for(17, [&](std::size_t i) { order.push_back(i); });
+  pool.parallel_for_dynamic(17, [&](std::size_t i) { order.push_back(i); });
   ASSERT_EQ(order.size(), 17u);
   for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
 
@@ -42,16 +44,16 @@ TEST(ThreadPool, ZeroWorkersRunsInlineAndCoversEveryIndex) {
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
   sim::ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(101);
-  pool.parallel_for(hits.size(),
-                    [&](std::size_t i) { hits[i].fetch_add(1); });
+  pool.parallel_for_dynamic(hits.size(),
+                            [&](std::size_t i) { hits[i].fetch_add(1); });
   for (std::size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   }
 }
 
 TEST(ThreadPool, DynamicParallelForCoversEveryIndexExactlyOnce) {
-  // Dynamic claiming must preserve parallel_for's only contract — each
-  // index runs exactly once — for every grain, including the heuristic
+  // Dynamic claiming must keep its only contract — each index runs
+  // exactly once — for every grain, including the heuristic
   // grain 0, a grain of 1 (BatchRunner's choice), a grain that doesn't
   // divide n, and one larger than n.
   for (const std::size_t workers : {0u, 1u, 3u, 7u}) {
@@ -117,9 +119,9 @@ TEST(ThreadPool, SubmitPropagatesExceptionsThroughTheFuture) {
 }
 
 TEST(ThreadPool, OnePoolServesSeveralEnginesConcurrently) {
-  // Several engine-backed simulations borrow the same pool from different
-  // caller threads at once.  Each caller's parallel_for has its own join
-  // state, so the runs must neither deadlock nor perturb each other's
+  // Several caller threads each fan engine-backed simulations across the
+  // same pool at once.  Each caller's parallel_for_dynamic has its own
+  // join state, so the runs must neither deadlock nor perturb each other's
   // results: every concurrent run is bit-identical to its serial twin.
   Rng rng(77);
   const auto g = with_single_source_sink(random_multistage(7, 24, rng));
@@ -129,20 +131,26 @@ TEST(ThreadPool, OnePoolServesSeveralEnginesConcurrently) {
 
   sim::ThreadPool pool(3);
   constexpr std::size_t kCallers = 4;
-  std::vector<RunResult<Cost>> results(kCallers);
+  constexpr std::size_t kJobs = 3;
+  std::vector<std::vector<RunResult<Cost>>> results(kCallers);
   std::vector<std::thread> callers;
   callers.reserve(kCallers);
   for (std::size_t c = 0; c < kCallers; ++c) {
     callers.emplace_back([&, c] {
-      Design1Modular arr(prob.mats, prob.v);
-      results[c] = arr.run(&pool);
+      results[c] = sim::BatchRunner(&pool).run(kJobs, [&](std::size_t) {
+        Design1Modular arr(prob.mats, prob.v);
+        return arr.run();
+      });
     });
   }
   for (auto& t : callers) t.join();
   for (std::size_t c = 0; c < kCallers; ++c) {
-    EXPECT_EQ(results[c].values, ref.values) << "caller " << c;
-    EXPECT_EQ(results[c].cycles, ref.cycles) << "caller " << c;
-    EXPECT_EQ(results[c].busy_steps, ref.busy_steps) << "caller " << c;
+    ASSERT_EQ(results[c].size(), kJobs);
+    for (const auto& r : results[c]) {
+      EXPECT_EQ(r.values, ref.values) << "caller " << c;
+      EXPECT_EQ(r.cycles, ref.cycles) << "caller " << c;
+      EXPECT_EQ(r.busy_steps, ref.busy_steps) << "caller " << c;
+    }
   }
 }
 
