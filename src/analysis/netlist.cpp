@@ -15,20 +15,22 @@ void note_accessor(std::vector<NodeId>& list, NodeId id) {
   if (it == list.end() || *it != id) list.insert(it, id);
 }
 
+bool wakeup_less(const WakeupEdge& a, const WakeupEdge& b) {
+  return a.src != b.src ? a.src < b.src : a.dst < b.dst;
+}
+
 }  // namespace
 
 bool Netlist::has_wakeup(NodeId src, NodeId dst) const {
-  for (const WakeupEdge& w : wakeups) {
-    if (w.src == src && w.dst == dst) return true;
-  }
-  return false;
+  const WakeupEdge probe{src, dst};
+  const auto it =
+      std::lower_bound(wakeups.begin(), wakeups.end(), probe, wakeup_less);
+  return it != wakeups.end() && it->src == src && it->dst == dst;
 }
 
 std::uint32_t Netlist::storage_of(const void* key) const {
-  for (std::uint32_t i = 0; i < storages.size(); ++i) {
-    if (storages[i].key == key) return i;
-  }
-  return npos;
+  const auto it = storage_index.find(key);
+  return it == storage_index.end() ? npos : it->second;
 }
 
 Netlist capture(const sim::Engine& engine, const CaptureOptions& opts) {
@@ -59,10 +61,9 @@ Netlist capture(const sim::Engine& engine, const CaptureOptions& opts) {
   // Collect every declared port use, building the storage table as keys
   // appear.  The first declaration fixes the kind and label; later
   // mismatching kinds are recorded as a conflict for the linter.
-  std::unordered_map<const void*, std::uint32_t> storage_index;
   const auto record = [&](NodeId node, const sim::Port& p) {
-    auto [it, inserted] =
-        storage_index.emplace(p.storage, net.storages.size());
+    auto [it, inserted] = net.storage_index.emplace(
+        p.storage, static_cast<std::uint32_t>(net.storages.size()));
     if (inserted) {
       net.storages.push_back(
           Storage{p.storage, p.kind, false, false, p.label, {}, {}});
@@ -105,6 +106,7 @@ Netlist capture(const sim::Engine& engine, const CaptureOptions& opts) {
   for (const auto& [src, dst] : engine.wakeup_edges()) {
     net.wakeups.push_back(WakeupEdge{node_of.at(src), node_of.at(dst)});
   }
+  std::stable_sort(net.wakeups.begin(), net.wakeups.end(), wakeup_less);
   return net;
 }
 

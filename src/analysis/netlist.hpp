@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/module.hpp"
@@ -77,14 +78,19 @@ struct Netlist {
                                ///< order), then extras, environment last
   NodeId environment = 0;
   std::vector<Storage> storages;
+  /// Storage index per key, filled by capture() alongside `storages`.
+  std::unordered_map<const void*, std::uint32_t> storage_index;
   std::vector<DataflowEdge> edges;
+  /// Sorted by (src, dst), so has_wakeup() is a binary search.  Erasing
+  /// entries keeps the order; an inserted edge must keep it too.
   std::vector<WakeupEdge> wakeups;
   /// Declared signal-from-register derivations (keys are global).
   std::vector<sim::SignalDerivation> derivations;
 
   [[nodiscard]] const NetNode& node(NodeId id) const { return nodes[id]; }
   [[nodiscard]] bool has_wakeup(NodeId src, NodeId dst) const;
-  /// Storage index for a key, or npos if never declared.
+  /// Storage index for a key (its first declaration), or npos if never
+  /// declared.
   [[nodiscard]] std::uint32_t storage_of(const void* key) const;
 
   static constexpr std::uint32_t npos = static_cast<std::uint32_t>(-1);

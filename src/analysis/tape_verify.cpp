@@ -53,6 +53,8 @@ std::string op_site(std::uint64_t i, std::uint64_t level) {
   return "op#" + std::to_string(i) + "@L" + std::to_string(level);
 }
 
+std::string bind_site(std::uint64_t b) { return "bind#" + std::to_string(b); }
+
 std::string slot_name(sim::SlotId s) { return "slot" + std::to_string(s); }
 
 const char* kind_name(OpKind k) {
@@ -522,13 +524,14 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
 
   bool clip_found = false;
 
+  // Site strings (op_site, bind_site) are formatted at the emit call, so a
+  // clean tape builds none.
   for (std::uint64_t t = 0; t < cycles; ++t) {
     const std::uint32_t lo = net.cycle_off[t];
     const std::uint32_t hi = net.cycle_off[t + 1];
     if (lo < hi) ++st.nonempty_levels;
     for (std::uint32_t i = lo; i < hi; ++i) {
       const Op& op = net.ops[i];
-      const std::string site = op_site(i, t);
 
       // -- reads: resolve each operand against the schedule so far.
       std::uint64_t min_level = 0;  // dependence-minimal level for this op
@@ -542,13 +545,13 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
           glast[g] = std::max(glast[g], static_cast<std::uint32_t>(t));
         }
         if (!has_def[s]) {
-          emit_dbu(site, slot_name(s),
+          emit_dbu(op_site(i, t), slot_name(s),
                    std::string("operand ") + role + " reads a slot nothing "
                        "ever writes — dangling reference");
           return;
         }
         if (def_op[s] == kNoDef) {
-          emit_sched(site, slot_name(s),
+          emit_sched(op_site(i, t), slot_name(s),
                      std::string("operand ") + role + " is read before its "
                          "first definition in the schedule — replay would "
                          "see an uninitialised slot");
@@ -567,7 +570,7 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
           min_level = std::max(min_level, t);
           const Op& dop = net.ops[static_cast<std::size_t>(def_op[s])];
           if (dop.kind != op.kind) {
-            emit_sched(site, slot_name(s),
+            emit_sched(op_site(i, t), slot_name(s),
                        std::string("same-level read of a value produced by "
                                    "a different-kind op (") +
                            kind_name(dop.kind) + " feeding " +
@@ -599,7 +602,7 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
           read(op.b, 2, "b");
           if (def_op[op.a] != kNoDef && def_op[op.a + 1] != kNoDef &&
               def_op[op.a] != def_op[op.a + 1]) {
-            emit_dbu(site, slot_name(op.a),
+            emit_dbu(op_site(i, t), slot_name(op.a),
                      "pair operand halves " + slot_name(op.a) + "/" +
                          slot_name(op.a + 1) +
                          " come from different definitions — not a coherent "
@@ -618,7 +621,7 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
         st.max_transport_slack = std::max(st.max_transport_slack, slack);
         if (opt.max_transport_slack >= 0 &&
             slack > static_cast<std::uint64_t>(opt.max_transport_slack)) {
-          emit_sched(site, slot_name(op.dst),
+          emit_sched(op_site(i, t), slot_name(op.dst),
                      "scheduled " + std::to_string(slack) +
                          " level(s) after its dependence-minimal level " +
                          std::to_string(min_level) +
@@ -665,7 +668,7 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
       note_fin(out_pair);
       if (clip) {
         clip_found = true;
-        emit_val(site, slot_name(op.dst),
+        emit_val(op_site(i, t), slot_name(op.dst),
                  "two finite operands can sum into the infinity sentinel "
                  "band — sat_add() would silently clamp a real cost "
                  "(weight " + cost_to_string(wc) + ")");
@@ -677,7 +680,7 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
         // against the state *before* this op's writes, then commit.
         const std::uint32_t g = lv.base[op.dst];
         if (gdef[g] != 0 && glast[g] >= t) {
-          emit_comp(site, slot_name(op.dst),
+          emit_comp(op_site(i, t), slot_name(op.dst),
                     "redefines a slot whose previous value is still live "
                     "(last touched at level " + std::to_string(glast[g]) +
                         ", redefined at level " + std::to_string(t) +
@@ -690,7 +693,7 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
       const auto write = [&](sim::SlotId s, const AbsVal& v) {
         ++writes[s];
         if (!st.compacted && writes[s] > 1) {
-          emit_ssa(site, slot_name(s),
+          emit_ssa(op_site(i, t), slot_name(s),
                    "slot is written more than once on an uncompacted tape — "
                    "single assignment violated (" +
                        std::to_string(writes[s]) + " writes so far)");
@@ -811,9 +814,8 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
     std::uint32_t prev_stamp = 0;
     for (std::size_t b = 0; b < prov.binds.size(); ++b) {
       const compile::ProvenanceBind& bind = prov.binds[b];
-      const std::string site = "bind#" + std::to_string(b);
       if (bind.stamp < prev_stamp) {
-        emit(site, "",
+        emit(bind_site(b), "",
              "stamp " + std::to_string(bind.stamp) +
                  " follows stamp " + std::to_string(prev_stamp) +
                  " — bind events are not sorted, the replay waveform "
@@ -821,20 +823,20 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
       }
       prev_stamp = std::max(prev_stamp, bind.stamp);
       if (bind.stamp > cycles) {
-        emit(site, "",
+        emit(bind_site(b), "",
              "stamp " + std::to_string(bind.stamp) +
                  " lies past the tape's " + std::to_string(cycles) +
                  " replayed cycles — no level ever samples it");
       }
       if (bind.lane >= nlanes) {
-        emit(site, "",
+        emit(bind_site(b), "",
              "binds lane " + std::to_string(bind.lane) +
                  ", outside the table of " + std::to_string(nlanes) +
                  " lanes");
         continue;
       }
       if (bind.slot >= n) {
-        emit(site, prov.lanes[bind.lane].label,
+        emit(bind_site(b), prov.lanes[bind.lane].label,
              "binds " + slot_name(bind.slot) + ", outside the file of " +
                  std::to_string(n) + " slots");
         continue;
@@ -845,13 +847,13 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
         // slot names; the lifetime extension that keeps these samples
         // valid is compaction-safety's cross-checked territory.)
         if (def_op[bind.slot] == kNoDef) {
-          emit(site, prov.lanes[bind.lane].label,
+          emit(bind_site(b), prov.lanes[bind.lane].label,
                "binds " + slot_name(bind.slot) +
                    ", which nothing ever writes — the waveform would "
                    "sample garbage");
         } else if (def_level[bind.slot] >= static_cast<std::int64_t>(
                                                bind.stamp)) {
-          emit(site, prov.lanes[bind.lane].label,
+          emit(bind_site(b), prov.lanes[bind.lane].label,
                "stamp " + std::to_string(bind.stamp) + " samples " +
                    slot_name(bind.slot) + " defined at level " +
                    std::to_string(def_level[bind.slot]) +

@@ -11,14 +11,17 @@
 // replays it bit-identically, cycle for cycle.
 //
 // The elaborated dataflow graph rides along: lowering captures
-// analysis::capture()'s netlist at the oracle's elaboration point and uses
-// it to tie the recorder's lanes back to declared storages (stats +
-// diagnostics) — the compiled program is the same netlist, flattened.
+// analysis::capture()'s netlist at the oracle's elaboration point and ties
+// the recorder's lanes back to declared storages (stats + diagnostics):
+// each key of Recorder::lane_key_table() is one probe of the netlist's
+// storage index, so naming stays linear in the lane count.  The compiled
+// program is the same netlist, flattened.
 #pragma once
 
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -84,14 +87,19 @@ template <typename R>
 }
 
 /// Resolve the recorder's provenance lanes against the captured netlist:
-/// each lane's storage key is looked up among the declared storages, its
+/// each lane's storage key is looked up in the netlist's storage index, its
 /// label becomes the declared port label and its module the storage's
 /// first writer (or the environment node when nothing writes it).  Module
 /// names are interned first-seen into Provenance::modules, which fixes the
-/// compiled timeline's PE-row order.  Returns the number of lanes named.
+/// compiled timeline's PE-row order; writers that share a name share one
+/// module id.  Returns the number of lanes named.
 inline std::uint64_t resolve_provenance(Provenance& prov,
                                         const std::vector<const void*>& keys,
                                         const analysis::Netlist& netlist) {
+  std::unordered_map<std::string, std::uint32_t> module_id;
+  for (std::uint32_t id = 0; id < prov.modules.size(); ++id) {
+    module_id.try_emplace(prov.modules[id], id);
+  }
   std::uint64_t named = 0;
   for (std::size_t i = 0; i < prov.lanes.size() && i < keys.size(); ++i) {
     const std::uint32_t s = netlist.storage_of(keys[i]);
@@ -102,10 +110,10 @@ inline std::uint64_t resolve_provenance(Provenance& prov,
     lane.module = storage.writers.empty()
                       ? netlist.node(netlist.environment).name
                       : netlist.node(storage.writers.front()).name;
-    std::uint32_t id = 0;
-    while (id < prov.modules.size() && prov.modules[id] != lane.module) ++id;
-    if (id == prov.modules.size()) prov.modules.push_back(lane.module);
-    lane.module_id = id;
+    const auto [it, fresh] = module_id.try_emplace(
+        lane.module, static_cast<std::uint32_t>(prov.modules.size()));
+    if (fresh) prov.modules.push_back(lane.module);
+    lane.module_id = it->second;
     lane.named = true;
     ++named;
   }

@@ -28,15 +28,16 @@ sim::SlotId Recorder::alloc(Cost value) {
   return static_cast<sim::SlotId>(concrete_.size() - 1);
 }
 
-void Recorder::record_bind(const void* key, sim::SlotId slot,
+std::uint32_t Recorder::new_lane(const void* key) {
+  const auto lane = static_cast<std::uint32_t>(lane_key_of_.size());
+  lane_id_.emplace(key, lane);
+  lane_key_of_.push_back(key);
+  lane_slot_.push_back(Provenance::kNone);
+  return lane;
+}
+
+void Recorder::record_bind(std::uint32_t lane, sim::SlotId slot,
                            std::uint32_t stamp) {
-  auto [it, inserted] =
-      lane_id_.emplace(key, static_cast<std::uint32_t>(lane_key_of_.size()));
-  if (inserted) {
-    lane_key_of_.push_back(key);
-    lane_slot_.push_back(Provenance::kNone);
-  }
-  const std::uint32_t lane = it->second;
   // Rebinding a lane to the slot it already points at carries no waveform
   // information — skip the event, mirroring the copy-elision dedup.
   if (lane_slot_[lane] == slot) return;
@@ -48,6 +49,16 @@ void Recorder::record_bind(const void* key, sim::SlotId slot,
   if (def != Provenance::kNone && op_lane_[def] == Provenance::kNone) {
     op_lane_[def] = lane;
   }
+}
+
+void Recorder::rebind(const void* key, sim::SlotId slot, std::uint32_t stamp) {
+  const auto it = lane_id_.find(key);
+  if (it == lane_id_.end()) {
+    record_bind(new_lane(key), slot, stamp);
+    return;
+  }
+  if (lane_slot_[it->second] != slot) ++copies_elided_;
+  record_bind(it->second, slot, stamp);
 }
 
 Cost Recorder::concrete(sim::SlotId slot, const char* site) const {
@@ -95,25 +106,25 @@ sim::SlotId Recorder::constant_pair(std::int64_t value, std::int64_t arg) {
 }
 
 sim::SlotId Recorder::lane(const void* key, std::int64_t live) {
-  const auto it = bound_.find(key);
-  if (it != bound_.end()) {
-    check_live(it->second, live, "lane");
-    return it->second;
+  const auto it = lane_id_.find(key);
+  if (it != lane_id_.end()) {
+    const sim::SlotId s = lane_slot_[it->second];
+    check_live(s, live, "lane");
+    return s;
   }
   // First touch: the oracle observed this lane's reset value — intern it,
   // so initial state is captured without any per-array bookkeeping.  The
   // bind carries stamp 0: the register has held this value since reset.
   const sim::SlotId s = constant(live);
-  bound_.emplace(key, s);
-  record_bind(key, s, 0);
+  record_bind(new_lane(key), s, 0);
   return s;
 }
 
 sim::SlotId Recorder::lane_pair(const void* key, std::int64_t live,
                                 std::int64_t arg) {
-  const auto it = bound_.find(key);
-  if (it != bound_.end()) {
-    const sim::SlotId s = it->second;
+  const auto it = lane_id_.find(key);
+  if (it != lane_id_.end()) {
+    const sim::SlotId s = lane_slot_[it->second];
     if (pair_head_[s] == 0) {
       bail("lane_pair", "lane is bound to a scalar slot");
     }
@@ -122,8 +133,7 @@ sim::SlotId Recorder::lane_pair(const void* key, std::int64_t live,
     return s;
   }
   const sim::SlotId s = constant_pair(live, arg);
-  bound_.emplace(key, s);
-  record_bind(key, s, 0);
+  record_bind(new_lane(key), s, 0);
   return s;
 }
 
@@ -139,14 +149,9 @@ sim::SlotId Recorder::pending(const void* key, std::int64_t live) {
 
 void Recorder::bind_now(const void* key, sim::SlotId slot) {
   (void)concrete(slot, "bind_now");
-  const auto [it, inserted] = bound_.emplace(key, slot);
-  if (!inserted) {
-    if (it->second != slot) ++copies_elided_;
-    it->second = slot;
-  }
   // During cycle t the cycle index holds t+1 entries, so this stamp is
   // t+1 — the VCD time at which the interpreted run reports the change.
-  record_bind(key, slot, static_cast<std::uint32_t>(cycle_off_.size()));
+  rebind(key, slot, static_cast<std::uint32_t>(cycle_off_.size()));
 }
 
 void Recorder::bind_staged(const void* key, sim::SlotId slot) {
@@ -228,22 +233,10 @@ void Recorder::on_cycle(const sim::Engine& engine, sim::Cycle t) {
   // Bind stamps are taken before the level closes, so a commit during
   // cycle t lands at stamp t+1 like the bind_now path.
   for (const auto& [key, slot] : staged_) {
-    const auto [it, inserted] = bound_.emplace(key, slot);
-    if (!inserted) {
-      if (it->second != slot) ++copies_elided_;
-      it->second = slot;
-    }
-    record_bind(key, slot, static_cast<std::uint32_t>(cycle_off_.size()));
+    rebind(key, slot, static_cast<std::uint32_t>(cycle_off_.size()));
   }
   staged_.clear();
   cycle_off_.push_back(static_cast<std::uint32_t>(ops_.size()));
-}
-
-std::vector<const void*> Recorder::lane_keys() const {
-  std::vector<const void*> keys;
-  keys.reserve(bound_.size());
-  for (const auto& [key, slot] : bound_) keys.push_back(key);
-  return keys;
 }
 
 CompiledNetlist Recorder::finish(bool parameterise) {
@@ -288,7 +281,7 @@ CompiledNetlist Recorder::finish(bool parameterise) {
   net.provenance.op_lane = std::move(op_lane_);
   net.stats.copies_elided = copies_elided_;
   net.stats.consts_interned = consts_interned_;
-  net.stats.lanes_bound = bound_.size();
+  net.stats.lanes_bound = lane_key_of_.size();
   return net;
 }
 

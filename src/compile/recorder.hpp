@@ -60,12 +60,9 @@ class Recorder final : public sim::OpRecorder, public sim::EngineObserver {
   /// Clock edge: apply staged binds, close the current dependency level.
   void on_cycle(const sim::Engine& engine, sim::Cycle t) override;
 
-  /// Distinct storage keys narrated so far (for netlist name matching).
-  [[nodiscard]] std::vector<const void*> lane_keys() const;
-
   /// Storage key per provenance lane, indexed by lane id.  Valid after
   /// finish() too — lowering resolves lane names against the captured
-  /// netlist once the tape is sealed.
+  /// netlist once the tape is sealed, one storage-index probe per lane.
   [[nodiscard]] const std::vector<const void*>& lane_key_table() const {
     return lane_key_of_;
   }
@@ -80,14 +77,17 @@ class Recorder final : public sim::OpRecorder, public sim::EngineObserver {
   sim::SlotId alloc(Cost concrete);
   [[nodiscard]] Cost concrete(sim::SlotId slot, const char* site) const;
   void check_live(sim::SlotId slot, std::int64_t live, const char* site) const;
-  /// Provenance: lane id for `key` (interning on first sight), one bind
-  /// event at `stamp`, and first-bind-wins op attribution via the bound
-  /// slot's defining op.
-  void record_bind(const void* key, sim::SlotId slot, std::uint32_t stamp);
+  /// Intern a key seen for the first time; returns its lane id.
+  std::uint32_t new_lane(const void* key);
+  /// Provenance: one bind event of `lane` at `stamp`, and first-bind-wins
+  /// op attribution via the bound slot's defining op.
+  void record_bind(std::uint32_t lane, sim::SlotId slot, std::uint32_t stamp);
+  /// Point `key`'s lane at `slot` (bind_now and the commit edge), counting
+  /// an elided copy when the lane already held a different slot.
+  void rebind(const void* key, sim::SlotId slot, std::uint32_t stamp);
 
   std::vector<Cost> concrete_;          ///< shadow value per slot
   std::vector<std::uint8_t> pair_head_; ///< slot is the value half of a pair
-  std::unordered_map<const void*, sim::SlotId> bound_;
   std::vector<std::pair<const void*, sim::SlotId>> staged_;
   std::unordered_map<std::int64_t, sim::SlotId> const_cache_;
   std::map<std::pair<std::int64_t, std::int64_t>, sim::SlotId>
@@ -100,12 +100,14 @@ class Recorder final : public sim::OpRecorder, public sim::EngineObserver {
   std::map<std::pair<std::string, std::uint64_t>, std::size_t> output_index_;
   std::uint64_t copies_elided_ = 0;
   std::uint64_t consts_interned_ = 0;
-  // Provenance plane: lane interning, bind events in narration order
-  // (stamp 0 = reset, stamp t+1 = committed at end of cycle t), the
-  // defining op of each slot, and the lane each op's dst first bound to.
+  // Lane map and provenance plane: one hash probe per narrated key gives
+  // its lane id, and lane_slot_ holds the slot the lane is bound to — the
+  // only binding table.  Bind events in narration order (stamp 0 = reset,
+  // stamp t+1 = committed at end of cycle t), the defining op of each
+  // slot, and the lane each op's dst first bound to.
   std::unordered_map<const void*, std::uint32_t> lane_id_;
   std::vector<const void*> lane_key_of_;
-  std::vector<std::uint32_t> lane_slot_;  ///< last recorded slot per lane
+  std::vector<std::uint32_t> lane_slot_;  ///< bound slot per lane
   std::vector<ProvenanceBind> binds_;
   std::vector<std::uint32_t> slot_op_;  ///< defining op per slot, or kNone
   std::vector<std::uint32_t> op_lane_;  ///< parallel to ops_

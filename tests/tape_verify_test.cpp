@@ -4,7 +4,8 @@
 // bench_all instance.  The dynamic counterpart — checked replay against
 // the oracle — lives in compile_test.cpp / differential_test.cpp; this
 // file proves the *static* half catches the corruptions replay would only
-// stumble over at run time.
+// stumble over at run time, and the exact diagnostic text (sites, to_text,
+// to_json) the corrupt fixtures produce.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -394,6 +395,233 @@ TEST(TapeVerify, JsonReportIsWellShaped) {
       << doc;
   EXPECT_NE(doc.find("\"dependence_depth\": 2"), std::string::npos) << doc;
   EXPECT_NE(doc.find("\"int32_safe\": true"), std::string::npos) << doc;
+}
+
+// ---------------------------------------------------------------------
+// Diagnostic text.  Sites are formatted only when a diagnostic fires, so
+// these pin every site string ("op#<i>", "op#<i>@L<level>", "bind#<b>")
+// the corrupt fixtures produce, and the full text and JSON renderings of
+// one report per site form.
+
+/// One line per diagnostic: check, severity, site and storage.
+std::vector<std::string> sites_of(const TapeVerifyReport& r) {
+  std::vector<std::string> out;
+  for (const auto& d : r.diagnostics) {
+    out.push_back(d.check + " " + analysis::to_string(d.severity) + " " +
+                  d.module + " '" + d.storage + "'");
+  }
+  return out;
+}
+
+TEST(TapeVerifyText, CorruptFixturesReportExactSites) {
+  struct Case {
+    std::string name;
+    compile::CompiledNetlist net;
+    TapeVerifyOptions opt;
+    std::vector<std::string> sites;
+  };
+  std::vector<Case> cases;
+  {
+    auto net = small_tape();
+    net.ops[0].b = 9;
+    cases.push_back({"slot out of bounds", net, {},
+                     {"tape-structure error op#0 'slot9'"}});
+  }
+  {
+    auto net = small_tape();
+    net.num_slots = 5;
+    net.ops[0].b = 4;
+    cases.push_back({"dangling slot", net, {},
+                     {"def-before-use error op#0@L0 'slot4'"}});
+  }
+  {
+    auto net = small_tape();
+    net.ops[1] = {3, 0, 2, 1, 3, OpKind::kFold, 1};
+    net.cycle_off = {0, 2, 2};
+    net.expected = {9, 10};
+    net.outputs[0].expected = 10;
+    cases.push_back({"cross-kind in-level chain", net, {},
+                     {"level-schedule warning op#1@L0 'slot2'"}});
+  }
+  {
+    auto net = small_tape();
+    std::swap(net.ops[0], net.ops[1]);
+    cases.push_back({"read from the future", net, {},
+                     {"level-schedule error op#0@L0 'slot2'",
+                      "output-reachability warning op#1@L1 'slot2'",
+                      "level-schedule note tape ''"}});
+  }
+  {
+    auto net = small_tape();
+    net.cycle_off = {0, 1, 1, 2};
+    TapeVerifyOptions opt;
+    opt.max_transport_slack = 0;
+    cases.push_back({"slack bound", net, opt,
+                     {"level-schedule error op#1@L2 'slot3'",
+                      "level-schedule note tape ''"}});
+  }
+  {
+    auto net = small_tape();
+    net.ops = {{2, 0, 1, 0, 5, OpKind::kMac, 0},
+               {2, 2, 1, 0, 7, OpKind::kMac, 1},
+               {3, 2, 0, 0, 3, OpKind::kMac, 2}};
+    net.cycle_off = {0, 1, 3};
+    net.expected = {9, 9, 9};
+    cases.push_back({"double write", net, {},
+                     {"single-assignment error op#1@L1 'slot2'"}});
+  }
+  {
+    auto net = small_tape();
+    net.outputs[0].slot = 2;
+    cases.push_back({"dead op", net, {},
+                     {"output-reachability warning op#1@L1 'slot3'"}});
+  }
+  {
+    auto net = small_tape();
+    net.init[1].value = kInfCost - 5;
+    cases.push_back({"saturation clip", net, {},
+                     {"value-range error op#0@L0 'slot2'"}});
+  }
+  {
+    compile::CompiledNetlist net;
+    net.num_slots = 2;
+    net.init = {{0, 5}};
+    net.ops = {{1, 0, 0, 0, 2, OpKind::kMac, 0},
+               {1, 1, 0, 0, 3, OpKind::kMac, 1}};
+    net.cycle_off = {0, 1, 2};
+    net.expected = {5, 5};
+    net.outputs = {{"res", 0, 1, 5}};
+    net.stats.compacted = true;
+    cases.push_back({"overlapping reuse", net, {},
+                     {"compaction-safety error op#1@L1 'slot1'"}});
+  }
+  {
+    auto net = small_tape();
+    net.parameterised = true;
+    net.params = {5, 99};
+    cases.push_back({"oracle binding mismatch", net, {},
+                     {"bind-plane error op#1 ''"}});
+  }
+  {
+    auto net = provenanced_tape();
+    net.provenance.op_lane = {5, compile::Provenance::kNone};
+    cases.push_back({"attribution lane out of range", net, {},
+                     {"provenance error op#0 ''"}});
+  }
+  {
+    auto net = provenanced_tape();
+    std::swap(net.provenance.binds[1], net.provenance.binds[2]);
+    cases.push_back({"unsorted binds", net, {},
+                     {"provenance error bind#2 ''"}});
+  }
+  {
+    auto net = provenanced_tape();
+    net.provenance.binds[2].stamp = 9;
+    cases.push_back({"stamp past the replay", net, {},
+                     {"provenance error bind#2 ''"}});
+  }
+  {
+    auto net = provenanced_tape();
+    net.provenance.binds[0].lane = 7;
+    cases.push_back({"bind lane out of range", net, {},
+                     {"provenance error bind#0 ''"}});
+  }
+  {
+    auto net = provenanced_tape();
+    net.provenance.binds[0].slot = 9;
+    cases.push_back({"bind slot out of range", net, {},
+                     {"provenance error bind#0 'acc'"}});
+  }
+  {
+    auto net = provenanced_tape();
+    net.provenance.binds[1] = {0, 0, 2};
+    cases.push_back({"sampled before computed", net, {},
+                     {"provenance error bind#1 'acc'"}});
+  }
+  {
+    auto net = provenanced_tape();
+    net.num_slots = 5;
+    net.provenance.binds.push_back({2, 0, 4});
+    cases.push_back({"binds an unwritten slot", net, {},
+                     {"provenance error bind#3 'acc'"}});
+  }
+  {
+    compile::CompiledNetlist net;
+    net.num_slots = 7;
+    net.init = {{0, 7}, {1, 2}, {2, 9}};
+    net.ops = {{3, 0, 1, 0, 1, OpKind::kMac, 0},
+               {4, 0, 2, 0, 1, OpKind::kMac, 1},
+               {5, 3, 1, 2, 1, OpKind::kRelax, 2}};
+    net.cycle_off = {0, 2, 3};
+    net.expected = {3, 7, 3};
+    net.outputs = {{"best", 0, 5, 3}};
+    cases.push_back({"relax pair halves", net, {},
+                     {"def-before-use error op#2@L1 'slot3'"}});
+  }
+  for (const Case& c : cases) {
+    const auto rep = analysis::verify_tape(c.net, "fixture", c.opt);
+    EXPECT_EQ(sites_of(rep), c.sites) << c.name;
+  }
+}
+
+TEST(TapeVerifyText, OpSiteReportRendersExactly) {
+  auto net = small_tape();
+  net.ops = {{2, 0, 1, 0, 5, OpKind::kMac, 0},
+             {2, 2, 1, 0, 7, OpKind::kMac, 1},
+             {3, 2, 0, 0, 3, OpKind::kMac, 2}};
+  net.cycle_off = {0, 1, 3};
+  net.expected = {9, 9, 9};
+  const auto rep = analysis::verify_tape(net, "fixture");
+  EXPECT_EQ(rep.to_text(),
+            "fixture: 1 error(s), 0 warning(s), 0 note(s)\n"
+            "  tape: 3 ops / 4 slots / 2 levels (2 non-empty), depth 3, ssa, "
+            "max |finite| 13 (int32-safe)\n"
+            "  [error] single-assignment @ op#1@L1 'slot2': slot is written "
+            "more than once on an uncompacted tape — single assignment "
+            "violated (2 writes so far)\n");
+  EXPECT_EQ(rep.to_json(),
+            "{\"design\": \"fixture\", \"tape\": {\"ops\": 3, "
+            "\"slots\": 4, \"levels\": 2, \"nonempty_levels\": 2, "
+            "\"outputs\": 1, \"compacted\": false, \"parameterised\": "
+            "false, \"in_level_chains\": 1, \"dependence_depth\": 3, "
+            "\"transport_slack_ops\": 0, \"max_transport_slack\": 0, "
+            "\"dead_ops\": 0, \"max_abs_finite\": 13, \"int32_safe\": "
+            "true, \"provenance_lanes\": 0, \"provenance_binds\": 0, "
+            "\"ops_attributed\": 0}, \"counts\": {\"errors\": 1, "
+            "\"warnings\": 0, \"notes\": 0}, \"diagnostics\": "
+            "[{\"check\": \"single-assignment\", \"severity\": "
+            "\"error\", \"site\": \"op#1@L1\", \"storage\": \"slot2\", "
+            "\"message\": \"slot is written more than once on an "
+            "uncompacted tape — single assignment violated (2 writes "
+            "so far)\"}]}");
+}
+
+TEST(TapeVerifyText, BindSiteReportRendersExactly) {
+  auto net = provenanced_tape();
+  net.provenance.binds[1] = {0, 0, 2};
+  const auto rep = analysis::verify_tape(net, "fixture");
+  EXPECT_EQ(rep.to_text(),
+            "fixture: 1 error(s), 0 warning(s), 0 note(s)\n"
+            "  tape: 2 ops / 4 slots / 2 levels (2 non-empty), depth 2, ssa, "
+            "max |finite| 13 (int32-safe)\n"
+            "  provenance: 1 lanes, 3 binds, 2 of 2 ops attributed\n"
+            "  [error] provenance @ bind#1 'acc': stamp 0 samples slot2 "
+            "defined at level 0 — the register would show a value before "
+            "the tape computes it\n");
+  EXPECT_EQ(rep.to_json(),
+            "{\"design\": \"fixture\", \"tape\": {\"ops\": 2, "
+            "\"slots\": 4, \"levels\": 2, \"nonempty_levels\": 2, "
+            "\"outputs\": 1, \"compacted\": false, \"parameterised\": "
+            "false, \"in_level_chains\": 0, \"dependence_depth\": 2, "
+            "\"transport_slack_ops\": 0, \"max_transport_slack\": 0, "
+            "\"dead_ops\": 0, \"max_abs_finite\": 13, \"int32_safe\": "
+            "true, \"provenance_lanes\": 1, \"provenance_binds\": 3, "
+            "\"ops_attributed\": 2}, \"counts\": {\"errors\": 1, "
+            "\"warnings\": 0, \"notes\": 0}, \"diagnostics\": "
+            "[{\"check\": \"provenance\", \"severity\": \"error\", "
+            "\"site\": \"bind#1\", \"storage\": \"acc\", \"message\": "
+            "\"stamp 0 samples slot2 defined at level 0 — the register "
+            "would show a value before the tape computes it\"}]}");
 }
 
 // ---------------------------------------------------------------------
