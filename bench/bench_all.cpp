@@ -560,20 +560,25 @@ CompiledBatchSample measure_compiled_batch_one(const char* name,
 
   // Rebind loop: 16 batches x 8 lanes = 128 instances of the family shape
   // with fresh random weight tables, all through the ONE lowering above —
-  // the tape is never re-lowered, only rebound.
+  // the tape is never re-lowered, only rebound.  The tables are drawn
+  // before the timer starts, so "inst/s" times bind + replay, not the RNG.
   {
     constexpr std::uint32_t kLanes = 8;
     constexpr std::uint32_t kBatches = 16;
     compile::BatchedCompiledEngine be(low.net, kLanes);
     Rng rng(0xb1d5 + s.num_ops);
     std::uniform_int_distribution<Cost> wdist(1, 40);
-    std::vector<Cost> table(low.net.num_params());
+    std::vector<std::vector<Cost>> tables(
+        std::size_t{kBatches} * kLanes,
+        std::vector<Cost>(low.net.num_params()));
+    for (auto& table : tables) {
+      for (auto& x : table) x = wdist(rng);
+    }
     Cost sink = 0;
     sim::WallTimer wt;
     for (std::uint32_t batch = 0; batch < kBatches; ++batch) {
       for (std::uint32_t lane = 0; lane < kLanes; ++lane) {
-        for (auto& x : table) x = wdist(rng);
-        be.bind(lane, table);
+        be.bind(lane, tables[std::size_t{batch} * kLanes + lane]);
       }
       be.reset();
       be.run_all();

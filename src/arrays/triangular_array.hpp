@@ -21,6 +21,14 @@
 //     std::pair<std::size_t, std::size_t> left_interval(i, j, t) const;
 //     std::pair<std::size_t, std::size_t> right_interval(i, j, t) const;
 //   };
+//
+// The engine-backed TriangularModularArray additionally requires each
+// cell's candidates in origin order: over t = 0, 1, ..., the left
+// interval's end (its row origin) and the right interval's start (its
+// column origin) must both be nondecreasing, repeats allowed (the BST
+// rule's clamped ends repeat them).  Its cells find the candidates a
+// passing operand feeds by binary search over those origins, and it
+// rejects an unordered rule with std::invalid_argument at construction.
 #pragma once
 
 #include <algorithm>

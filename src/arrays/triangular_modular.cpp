@@ -1,5 +1,6 @@
 #include "arrays/triangular_modular.hpp"
 
+#include <algorithm>
 #include <string>
 
 #include "semiring/kernels.hpp"
@@ -40,14 +41,14 @@ struct CellMeta {
 
 }  // namespace
 
-/// Per-array arena: the packed link registers, fold metadata, the patient
-/// completion-launch slots, and the flattened per-candidate tables
-/// (origins, clamp flags, local costs, arrived operand values, ready
-/// FIFO), prefix-offset addressed per cell.  Cell modules are thin lane
-/// views, registered diagonal-major like GktModularArray.
+/// Per-run arena: the packed link registers, fold metadata, the patient
+/// completion-launch slots, and the mutable per-candidate state (arrived
+/// operand values, ready FIFO), addressed through the core's immutable
+/// candidate tables.  Cell modules are thin lane views, registered
+/// diagonal-major like GktModularArray.
 struct TriangularModularCore::Arena {
   std::size_t n;
-  std::vector<std::uint32_t> id_of;  ///< (i*n + j) -> cell id, i <= j
+  const Candidates& cands;  ///< owned by the core, built once per array
 
   std::vector<LinkPair> link;
   std::vector<CellMeta> meta;
@@ -60,11 +61,8 @@ struct TriangularModularCore::Arena {
   std::vector<Flit> row_launch, col_launch;
   std::vector<std::uint8_t> row_launch_set, col_launch_set;
 
-  // Per-candidate tables, lane cand_base[id] + t for t < cands.
-  std::vector<std::uint32_t> cand_base;
-  std::vector<std::uint32_t> row_origin, col_origin;
-  std::vector<std::uint8_t> use_left, use_right;
-  std::vector<Cost> local, left_val, right_val;
+  // Per-candidate run state, lane cands.cand_base[id] + t.
+  std::vector<Cost> left_val, right_val;
   std::vector<std::uint8_t> left_set, right_set;
   std::vector<std::uint32_t> q_store;
 
@@ -74,64 +72,37 @@ struct TriangularModularCore::Arena {
   sim::OpRecorder* rec = nullptr;
 
   Arena(std::size_t n_in, const std::vector<Cost>& base,
-        const std::vector<std::vector<Candidate>>& cands)
-      : n(n_in) {
+        const Candidates& tables)
+      : n(n_in), cands(tables) {
     const std::size_t cells = n * (n + 1) / 2;
-    id_of.assign(n * n, 0);
-    std::uint32_t next = 0;
-    for (std::size_t d = 0; d < n; ++d) {
-      for (std::size_t i = 0; i + d < n; ++i) id_of[i * n + (i + d)] = next++;
-    }
     link.resize(cells);
     meta.resize(cells);
     row_launch.resize(cells);
     col_launch.resize(cells);
     row_launch_set.assign(cells, 0);
     col_launch_set.assign(cells, 0);
-
-    cand_base.assign(cells + 1, 0);
     for (std::size_t i = 0; i < n; ++i) {
-      meta[id(i, i)].best = base[i];
-      meta[id(i, i)].is_done = 1;  // diagonals complete at cycle 0
-      for (std::size_t j = i + 1; j < n; ++j) {
-        const auto& list = cands[i * n + j];
-        cand_base[id(i, j) + 1] = static_cast<std::uint32_t>(list.size());
-        meta[id(i, j)].remaining = static_cast<std::uint32_t>(list.size());
-        if (list.empty()) {
-          // Trivially solved (e.g. a polygon edge): value 0 at cycle 0.
-          // Such a cell still forwards traffic but never launches — the
-          // constructor has verified nothing consumes it.
-          meta[id(i, j)].best = 0;
-          meta[id(i, j)].is_done = 1;
-          meta[id(i, j)].fired = 1;
-        }
+      meta[i].best = base[i];  // diagonal (i, i) has id i
+      meta[i].is_done = 1;     // diagonals complete at cycle 0
+    }
+    for (std::size_t id = n; id < cells; ++id) {
+      CellMeta& mt = meta[id];
+      mt.remaining = cands.cand_base[id + 1] - cands.cand_base[id];
+      if (mt.remaining == 0) {
+        // Trivially solved (e.g. a polygon edge): value 0 at cycle 0.
+        // Such a cell still forwards traffic but never launches — the
+        // constructor has verified nothing consumes it.
+        mt.best = 0;
+        mt.is_done = 1;
+        mt.fired = 1;
       }
     }
-    for (std::size_t c = 0; c < cells; ++c) cand_base[c + 1] += cand_base[c];
-    const std::size_t total = cand_base[cells];
-    row_origin.assign(total, 0);
-    col_origin.assign(total, 0);
-    use_left.assign(total, 0);
-    use_right.assign(total, 0);
-    local.assign(total, 0);
+    const std::size_t total = cands.cand_base[cells];
     left_val.assign(total, 0);
     right_val.assign(total, 0);
     left_set.assign(total, 0);
     right_set.assign(total, 0);
     q_store.assign(total, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        const auto& list = cands[i * n + j];
-        const std::uint32_t b0 = cand_base[id(i, j)];
-        for (std::size_t t = 0; t < list.size(); ++t) {
-          row_origin[b0 + t] = list[t].row_origin;
-          col_origin[b0 + t] = list[t].col_origin;
-          use_left[b0 + t] = list[t].use_left;
-          use_right[b0 + t] = list[t].use_right;
-          local[b0 + t] = list[t].local;
-        }
-      }
-    }
   }
 
   /// Polled between cycles (eval must not mutate any shared counter).
@@ -143,7 +114,7 @@ struct TriangularModularCore::Arena {
   }
 
   [[nodiscard]] std::uint32_t id(std::size_t i, std::size_t j) const {
-    return id_of[i * n + j];
+    return cell_id(n, i, j);
   }
 
   /// Whether cell (i, j) ever launches a completion: diagonals always do,
@@ -151,8 +122,8 @@ struct TriangularModularCore::Arena {
   /// cells forward traffic but produce nothing).
   [[nodiscard]] bool launches(std::size_t i, std::size_t j) const {
     if (i == j) return true;
-    const std::uint32_t c = id(i, j);
-    return cand_base[c + 1] - cand_base[c] > 0;
+    const std::uint32_t k = id(i, j);
+    return cands.cand_base[k + 1] - cands.cand_base[k] > 0;
   }
 
   /// A completed cell (a, b) launches rightward on row a and upward on
@@ -206,16 +177,22 @@ class TriangularModularCore::Cell : public sim::Module {
     }
     LinkPair& lk = a.link[id];
     CellMeta& mt = a.meta[id];
-    const std::uint32_t b0 = a.cand_base[id];
-    const std::uint32_t kcnt = a.cand_base[id + 1] - b0;
+    const Candidates& cs = a.cands;
+    const std::uint32_t b0 = cs.cand_base[id];
+    const std::uint32_t kcnt = cs.cand_base[id + 1] - b0;
     std::uint32_t* const q = a.q_store.data() + b0;
     const std::uint32_t len0 = mt.q_len;  // candidates ready before cycle c
 
     // ---- observe: match passing flits against the origin tables --------
+    // Origins are sorted within the cell, so the candidates one flit feeds
+    // are a contiguous run, visited in increasing t.
     if (lk.row_has && lk.row_cur.a == i_) {
       const Flit& f = lk.row_cur;  // left operand from (i, f.b)
-      for (std::uint32_t t = 0; t < kcnt; ++t) {
-        if (a.row_origin[b0 + t] == f.b && !a.left_set[b0 + t]) {
+      const std::uint32_t* const org = cs.row_origin.data() + b0;
+      const auto [lo, hi] = std::equal_range(org, org + kcnt, f.b);
+      for (auto t = static_cast<std::uint32_t>(lo - org);
+           t < static_cast<std::uint32_t>(hi - org); ++t) {
+        if (!a.left_set[b0 + t]) {
           a.left_val[b0 + t] = f.val;
           a.left_set[b0 + t] = 1;
           if (a.right_set[b0 + t]) q[mt.q_len++] = t;
@@ -224,8 +201,11 @@ class TriangularModularCore::Cell : public sim::Module {
     }
     if (lk.col_has && lk.col_cur.b == j_) {
       const Flit& f = lk.col_cur;  // right operand from (f.a, j)
-      for (std::uint32_t t = 0; t < kcnt; ++t) {
-        if (a.col_origin[b0 + t] == f.a && !a.right_set[b0 + t]) {
+      const std::uint32_t* const org = cs.col_origin.data() + b0;
+      const auto [lo, hi] = std::equal_range(org, org + kcnt, f.a);
+      for (auto t = static_cast<std::uint32_t>(lo - org);
+           t < static_cast<std::uint32_t>(hi - org); ++t) {
+        if (!a.right_set[b0 + t]) {
           a.right_val[b0 + t] = f.val;
           a.right_set[b0 + t] = 1;
           if (a.left_set[b0 + t]) q[mt.q_len++] = t;
@@ -238,24 +218,24 @@ class TriangularModularCore::Cell : public sim::Module {
       std::uint32_t taken = 0;
       while (mt.q_head < len0 && taken < 2) {
         const std::uint32_t t = q[mt.q_head];
-        const Cost l = a.use_left[b0 + t] ? a.left_val[b0 + t] : 0;
-        const Cost r = a.use_right[b0 + t] ? a.right_val[b0 + t] : 0;
-        const Cost cand = kern::interval_candidate(l, r, a.local[b0 + t]);
+        const Cost l = cs.use_left[b0 + t] ? a.left_val[b0 + t] : 0;
+        const Cost r = cs.use_right[b0 + t] ? a.right_val[b0 + t] : 0;
+        const Cost cand = kern::interval_candidate(l, r, cs.local[b0 + t]);
         if (sim::OpRecorder* const rec = a.rec; rec != nullptr) {
           // A clamped operand (use_* == 0) is the rule's structural zero,
           // not a transported value; otherwise read the origin's lane.
           const sim::SlotId sl =
-              a.use_left[b0 + t]
-                  ? rec->lane(&a.meta[a.id(i_, a.row_origin[b0 + t])].best,
+              cs.use_left[b0 + t]
+                  ? rec->lane(&a.meta[a.id(i_, cs.row_origin[b0 + t])].best,
                               l)
                   : rec->constant(0);
           const sim::SlotId sr =
-              a.use_right[b0 + t]
-                  ? rec->lane(&a.meta[a.id(a.col_origin[b0 + t], j_)].best,
+              cs.use_right[b0 + t]
+                  ? rec->lane(&a.meta[a.id(cs.col_origin[b0 + t], j_)].best,
                               r)
                   : rec->constant(0);
           rec->bind_now(&mt.best, rec->fold(rec->lane(&mt.best, mt.best),
-                                            sl, sr, a.local[b0 + t]));
+                                            sl, sr, cs.local[b0 + t]));
         }
         if (cand < mt.best) mt.best = cand;
         ++mt.busy;
@@ -399,28 +379,46 @@ class TriangularModularCore::Cell : public sim::Module {
   Arena& a_;
 };
 
-TriangularModularCore::TriangularModularCore(
-    std::size_t n, std::vector<Cost> base,
-    std::vector<std::vector<Candidate>> cands)
+TriangularModularCore::TriangularModularCore(std::size_t n,
+                                             std::vector<Cost> base,
+                                             Candidates cands)
     : n_(n), base_(std::move(base)), cands_(std::move(cands)) {
   if (n_ == 0) throw std::invalid_argument("TriangularModularCore: empty");
-  if (base_.size() != n_ || cands_.size() != n_ * n_) {
+  const std::size_t cells = num_pes();
+  const std::vector<std::uint32_t>& cb = cands_.cand_base;
+  if (base_.size() != n_ || cb.size() != cells + 1 || cb.front() != 0 ||
+      !std::is_sorted(cb.begin(), cb.end()) || cb[n_] != 0 ||
+      cands_.row_origin.size() != cb.back() ||
+      cands_.col_origin.size() != cb.back() ||
+      cands_.use_left.size() != cb.back() ||
+      cands_.use_right.size() != cb.back() ||
+      cands_.local.size() != cb.back()) {
     throw std::invalid_argument("TriangularModularCore: bad table shape");
   }
   // Every origin must name a cell that actually launches: a diagonal, or
   // an off-diagonal cell with at least one candidate.
   const auto launches = [&](std::size_t i, std::size_t j) {
-    return i == j || !cands_[i * n_ + j].empty();
+    const std::uint32_t id = cell_id(n_, i, j);
+    return i == j || cb[id + 1] > cb[id];
   };
   for (std::size_t i = 0; i < n_; ++i) {
     for (std::size_t j = i + 1; j < n_; ++j) {
-      for (const Candidate& c : cands_[i * n_ + j]) {
-        if (c.row_origin < i || c.row_origin >= j ||
-            !launches(i, c.row_origin) || c.col_origin <= i ||
-            c.col_origin > j || !launches(c.col_origin, j)) {
+      const std::uint32_t id = cell_id(n_, i, j);
+      for (std::uint32_t k = cb[id]; k < cb[id + 1]; ++k) {
+        const std::uint32_t ro = cands_.row_origin[k];
+        const std::uint32_t co = cands_.col_origin[k];
+        if (ro < i || ro >= j || !launches(i, ro) || co <= i || co > j ||
+            !launches(co, j)) {
           throw std::invalid_argument(
               "TriangularModularCore: candidate origin is not a launching "
               "cell");
+        }
+        // Flit matching binary-searches the origins (Cell::eval).
+        if (k > cb[id] && (ro < cands_.row_origin[k - 1] ||
+                           co < cands_.col_origin[k - 1])) {
+          throw std::invalid_argument(
+              "TriangularModularCore: a cell's candidate origins must be "
+              "nondecreasing in t");
         }
       }
     }

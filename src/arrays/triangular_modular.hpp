@@ -11,11 +11,13 @@
 //
 //   * Origin-matched operands.  A rule's candidate t at cell (i, j) names
 //     a left sub-interval on row i and a right sub-interval on column j.
-//     The wrapper compiles these into per-candidate origin tables; a
-//     passing flit is matched against the tables (one origin may feed
-//     several candidates — the BST rule maps the adjacent diagonal cell
-//     to two slots, as both the empty-left and empty-right trees clamp to
-//     it).
+//     The wrapper compiles these once into flat per-candidate origin
+//     tables, sorted by origin within each cell, so a passing flit finds
+//     its candidates by binary search — O(log k) plus one step per match
+//     for a cell with k candidates.  One origin may
+//     feed several candidates: the BST rule maps the adjacent diagonal
+//     cell to two slots, as both the empty-left and empty-right trees
+//     clamp to it.
 //   * Patient launch slots.  GKT's single-occupancy theorem (at most one
 //     value per link register per cycle) is proved for the chain
 //     recurrence only; richer rules can collide a completion launch with
@@ -51,27 +53,39 @@ namespace sysdp {
 /// rule is pre-compiled into per-candidate specs by TriangularModularArray.
 class TriangularModularCore {
  public:
-  /// One candidate of one cell, rule-agnostic.  `row_origin` is the column
-  /// b of the left operand's producer cell (i, b) on the consumer's row;
-  /// `col_origin` is the row a of the right operand's producer (a, j) on
-  /// the consumer's column.  An operand clamped away by the rule (e.g. an
-  /// empty BST subtree) still gates arrival but contributes zero cost:
+  /// The rule's candidates, compiled once per array into immutable
+  /// struct-of-arrays tables.  Cells are numbered diagonal-major (see
+  /// cell_id); candidate t of cell c lives at lane cand_base[c] + t, for
+  /// t < cand_base[c + 1] - cand_base[c] (zero for diagonals, and for
+  /// trivially-solved cells such as a polygon edge: value 0 at cycle 0).
+  /// `row_origin` is the column b of the left operand's producer cell
+  /// (i, b) on the consumer's row; `col_origin` is the row a of the right
+  /// operand's producer (a, j) on the consumer's column.  Within a cell
+  /// both are nondecreasing in t, so a passing flit finds every candidate
+  /// it feeds by binary search.  An operand clamped away by the rule (e.g.
+  /// an empty BST subtree) still gates arrival but contributes zero cost:
   /// use_left / use_right record that.
-  struct Candidate {
-    std::uint32_t row_origin = 0;
-    std::uint32_t col_origin = 0;
-    std::uint8_t use_left = 1;
-    std::uint8_t use_right = 1;
-    Cost local = 0;
+  struct Candidates {
+    std::vector<std::uint32_t> cand_base;  ///< num_pes() + 1 offsets
+    std::vector<std::uint32_t> row_origin, col_origin;
+    std::vector<std::uint8_t> use_left, use_right;
+    std::vector<Cost> local;
   };
 
-  /// `base[i]` is diagonal cell (i, i)'s value; `cands[i * n + j]` the
-  /// candidate list of off-diagonal cell (i, j) (empty = trivially solved,
-  /// value 0 at cycle 0, e.g. a polygon edge).  Throws invalid_argument
-  /// if an origin names a cell that never launches (neither diagonal nor
-  /// a candidate-bearing cell).
+  /// Diagonal-major id of cell (i, j), i <= j < n: diagonal d = j - i
+  /// starts after the d longer diagonals of n, n - 1, ..., n - d + 1 cells.
+  [[nodiscard]] static std::uint32_t cell_id(std::size_t n, std::size_t i,
+                                             std::size_t j) noexcept {
+    const std::size_t d = j - i;
+    return static_cast<std::uint32_t>(d * (2 * n - d + 1) / 2 + i);
+  }
+
+  /// `base[i]` is diagonal cell (i, i)'s value.  Throws invalid_argument
+  /// on a malformed table, if an origin names a cell that never launches
+  /// (neither diagonal nor a candidate-bearing cell), or if a cell's
+  /// origins are out of order.
   TriangularModularCore(std::size_t n, std::vector<Cost> base,
-                        std::vector<std::vector<Candidate>> cands);
+                        Candidates cands);
   ~TriangularModularCore();
 
   TriangularModularCore(const TriangularModularCore&) = delete;
@@ -123,7 +137,7 @@ class TriangularModularCore {
 
   std::size_t n_;
   std::vector<Cost> base_;
-  std::vector<std::vector<Candidate>> cands_;
+  Candidates cands_;
   std::unique_ptr<Arena> arena_;
   std::vector<std::unique_ptr<Cell>> cells_;
 };
@@ -162,20 +176,35 @@ class TriangularModularArray {
     return base;
   }
 
-  /// Evaluate the rule's interval geometry once per candidate.  The local
-  /// cost is recovered by probing candidate() with zero operands — every
-  /// interval rule's candidate is (use_left ? left : 0) + (use_right ?
-  /// right : 0) + local, so the zero probe isolates `local`.
-  static std::vector<std::vector<TriangularModularCore::Candidate>>
-  compile_cands(const Rule& rule, std::size_t n) {
-    std::vector<std::vector<TriangularModularCore::Candidate>> cands(n * n);
+  /// Evaluate the rule's interval geometry once per candidate, writing the
+  /// flat tables in cell-id order (diagonals carry no candidates); the
+  /// core rejects a rule whose origins are out of order.  The local cost
+  /// is recovered by probing candidate() with zero operands —
+  /// every interval rule's candidate is (use_left ? left : 0) +
+  /// (use_right ? right : 0) + local, so the zero probe isolates `local`.
+  static TriangularModularCore::Candidates compile_cands(const Rule& rule,
+                                                         std::size_t n) {
+    TriangularModularCore::Candidates c;
+    c.cand_base.assign(n * (n + 1) / 2 + 1, 0);
+    std::size_t id = n;  // first off-diagonal cell
+    for (std::size_t d = 1; d < n; ++d) {
+      for (std::size_t i = 0; i + d < n; ++i, ++id) {
+        c.cand_base[id + 1] = c.cand_base[id] +
+                              static_cast<std::uint32_t>(rule.splits(i, i + d));
+      }
+    }
+    const std::size_t total = c.cand_base.back();
+    c.row_origin.resize(total);
+    c.col_origin.resize(total);
+    c.use_left.resize(total);
+    c.use_right.resize(total);
+    c.local.resize(total);
+    std::size_t lane = 0;
     for (std::size_t d = 1; d < n; ++d) {
       for (std::size_t i = 0; i + d < n; ++i) {
         const std::size_t j = i + d;
         const std::size_t k = rule.splits(i, j);
-        auto& list = cands[i * n + j];
-        list.reserve(k);
-        for (std::size_t t = 0; t < k; ++t) {
+        for (std::size_t t = 0; t < k; ++t, ++lane) {
           const auto [li, lj] = rule.left_interval(i, j, t);
           const auto [ri, rj] = rule.right_interval(i, j, t);
           if (li != i || lj > j || ri < i || rj != j) {
@@ -183,23 +212,19 @@ class TriangularModularArray {
                 "TriangularModularArray: rule's sub-intervals must lie on "
                 "the consumer's row and column");
           }
-          TriangularModularCore::Candidate c;
-          c.row_origin = static_cast<std::uint32_t>(lj);
-          c.col_origin = static_cast<std::uint32_t>(ri);
+          c.row_origin[lane] = static_cast<std::uint32_t>(lj);
+          c.col_origin[lane] = static_cast<std::uint32_t>(ri);
           // Clamp detection: feed a sentinel through a zero probe.  If the
           // rule ignores an operand (empty sub-tree), a sentinel in that
           // slot does not move the result.
           const Cost local = rule.candidate(i, j, t, 0, 0);
-          const Cost probe_l = rule.candidate(i, j, t, 1, 0);
-          const Cost probe_r = rule.candidate(i, j, t, 0, 1);
-          c.use_left = probe_l != local ? 1 : 0;
-          c.use_right = probe_r != local ? 1 : 0;
-          c.local = local;
-          list.push_back(c);
+          c.use_left[lane] = rule.candidate(i, j, t, 1, 0) != local ? 1 : 0;
+          c.use_right[lane] = rule.candidate(i, j, t, 0, 1) != local ? 1 : 0;
+          c.local[lane] = local;
         }
       }
     }
-    return cands;
+    return c;
   }
 
   TriangularModularCore core_;

@@ -1,6 +1,5 @@
 #include "compile/recorder.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <stdexcept>
 
@@ -42,7 +41,16 @@ void Recorder::record_bind(std::uint32_t lane, sim::SlotId slot,
   // information — skip the event, mirroring the copy-elision dedup.
   if (lane_slot_[lane] == slot) return;
   lane_slot_[lane] = slot;
-  binds_.push_back({stamp, lane, slot});
+  if (stamp == 0) {
+    reset_binds_.push_back({stamp, lane, slot});
+  } else {
+    // Nonzero stamps come from the cycle index, which only grows, so the
+    // committed log stays sorted by construction.
+    if (!binds_.empty() && binds_.back().stamp > stamp) {
+      bail("record_bind", "bind stamp went backwards");
+    }
+    binds_.push_back({stamp, lane, slot});
+  }
   // First-bind-wins op attribution: the op that defined this slot belongs
   // to the module whose register first captures its result.
   const std::uint32_t def = slot_op_[slot];
@@ -266,18 +274,16 @@ CompiledNetlist Recorder::finish(bool parameterise) {
   }
   // Provenance plane: unresolved lane records (lowering resolves names
   // against the captured netlist once the oracle run is sealed), bind
-  // events sorted by stamp (stable, so narration order survives within
-  // one stamp — first-touch stamp-0 events arrive out of order), and the
-  // per-op lane attribution.
+  // events sorted by stamp with narration order kept within one stamp —
+  // the stamp-0 first-touch events, then the committed ones, each log
+  // already in that order — and the per-op lane attribution.
   net.provenance.lanes.resize(lane_key_of_.size());
   for (std::size_t i = 0; i < net.provenance.lanes.size(); ++i) {
     net.provenance.lanes[i].label = "lane" + std::to_string(i);
   }
-  std::stable_sort(binds_.begin(), binds_.end(),
-                   [](const ProvenanceBind& a, const ProvenanceBind& b) {
-                     return a.stamp < b.stamp;
-                   });
-  net.provenance.binds = std::move(binds_);
+  net.provenance.binds = std::move(reset_binds_);
+  net.provenance.binds.insert(net.provenance.binds.end(), binds_.begin(),
+                              binds_.end());
   net.provenance.op_lane = std::move(op_lane_);
   net.stats.copies_elided = copies_elided_;
   net.stats.consts_interned = consts_interned_;

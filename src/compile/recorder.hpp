@@ -102,12 +102,14 @@ class Recorder final : public sim::OpRecorder, public sim::EngineObserver {
   std::uint64_t consts_interned_ = 0;
   // Lane map and provenance plane: one hash probe per narrated key gives
   // its lane id, and lane_slot_ holds the slot the lane is bound to — the
-  // only binding table.  Bind events in narration order (stamp 0 = reset,
-  // stamp t+1 = committed at end of cycle t), the defining op of each
-  // slot, and the lane each op's dst first bound to.
+  // only binding table.  Bind events in narration order, split by stamp:
+  // stamp 0 = reset (first touches, interleaved with the run) and stamp
+  // t+1 = committed at end of cycle t (nondecreasing).  Then the defining
+  // op of each slot, and the lane each op's dst first bound to.
   std::unordered_map<const void*, std::uint32_t> lane_id_;
   std::vector<const void*> lane_key_of_;
   std::vector<std::uint32_t> lane_slot_;  ///< bound slot per lane
+  std::vector<ProvenanceBind> reset_binds_;
   std::vector<ProvenanceBind> binds_;
   std::vector<std::uint32_t> slot_op_;  ///< defining op per slot, or kNone
   std::vector<std::uint32_t> op_lane_;  ///< parallel to ops_

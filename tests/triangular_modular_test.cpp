@@ -3,6 +3,8 @@
 // every rule in the interval-DP family, agree with the chain-specialised
 // GKT arrays on chain inputs, and be bit-identical across engine modes.
 #include <cstdint>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,6 +13,7 @@
 #include "arrays/gkt_rtl.hpp"
 #include "arrays/triangular_array.hpp"
 #include "arrays/triangular_modular.hpp"
+#include "compile/lower.hpp"
 
 namespace sysdp {
 namespace {
@@ -180,6 +183,253 @@ struct BadRule {
 TEST(TriangularModular, RejectsOffAxisRule) {
   EXPECT_THROW((TriangularModularArray<BadRule>(BadRule{}, 3)),
                std::invalid_argument);
+}
+
+// A valid chain rule that lists its splits right to left: every origin
+// names a launching cell on the consumer's row and column, but the
+// origins decrease in t, which the binary-search matching cannot serve.
+struct ReversedChainRule {
+  ChainRule chain;
+  [[nodiscard]] Cost base(std::size_t i) const { return chain.base(i); }
+  [[nodiscard]] std::size_t splits(std::size_t i, std::size_t j) const {
+    return chain.splits(i, j);
+  }
+  [[nodiscard]] std::size_t flip(std::size_t i, std::size_t j,
+                                 std::size_t t) const {
+    return splits(i, j) - 1 - t;
+  }
+  [[nodiscard]] Cost candidate(std::size_t i, std::size_t j, std::size_t t,
+                               Cost l, Cost r) const {
+    return chain.candidate(i, j, flip(i, j, t), l, r);
+  }
+  [[nodiscard]] std::pair<std::size_t, std::size_t> left_interval(
+      std::size_t i, std::size_t j, std::size_t t) const {
+    return chain.left_interval(i, j, flip(i, j, t));
+  }
+  [[nodiscard]] std::pair<std::size_t, std::size_t> right_interval(
+      std::size_t i, std::size_t j, std::size_t t) const {
+    return chain.right_interval(i, j, flip(i, j, t));
+  }
+};
+
+TEST(TriangularModular, RejectsUnorderedOrigins) {
+  const ReversedChainRule rule{ChainRule(make_costs(5, 1))};
+  EXPECT_THROW((TriangularModularArray<ReversedChainRule>(rule, 4)),
+               std::invalid_argument);
+  // n = 2 has one split per cell, so there is no order to violate.
+  EXPECT_NO_THROW((TriangularModularArray<ReversedChainRule>(
+      ReversedChainRule{ChainRule(make_costs(3, 1))}, 2)));
+}
+
+// Every candidate must be matched exactly once, including origins shared
+// by two candidates: the BST rule clamps t = 0 and t = 1 to row origin i
+// and t = d - 1 and t = d to column origin j.  Per cell, the cost and
+// completion cycle equal the analytic model's, the analytic winning split
+// reproduces the cost from the modular sub-interval values, and the busy
+// count equals the split count (the analytic model's per-cell work).
+template <typename Rule>
+void expect_matches_analytic_per_cell(const Rule& rule, std::size_t n,
+                                      sim::Gating gating) {
+  const auto ref = TriangularArray<Rule>(rule, n).run();
+  TriangularModularArray<Rule> arr(rule, n);
+  const auto mod = arr.run(gating);
+  ASSERT_EQ(mod.cost.rows(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i; j < n; ++j) {
+      SCOPED_TRACE("cell (" + std::to_string(i) + ", " +
+                   std::to_string(j) + ")");
+      ASSERT_EQ(mod.cost(i, j), ref.cost(i, j));
+      ASSERT_EQ(arr.pe_busy(TriangularModularCore::cell_id(n, i, j)),
+                i == j ? 0 : rule.splits(i, j));
+      if (i == j) continue;
+      ASSERT_EQ(mod.done(i, j), ref.ready(i, j));
+      if (rule.splits(i, j) == 0) continue;
+      const std::size_t t = ref.split(i, j);
+      const auto [li, lj] = rule.left_interval(i, j, t);
+      const auto [ri, rj] = rule.right_interval(i, j, t);
+      ASSERT_EQ(rule.candidate(i, j, t, mod.cost(li, lj), mod.cost(ri, rj)),
+                mod.cost(i, j));
+    }
+  }
+  EXPECT_EQ(mod.stats.busy_steps, ref.stats.busy_steps);
+}
+
+TEST(TriangularModular, SharedOriginsAllMatch) {
+  for (const sim::Gating gating : {sim::Gating::kDense, sim::Gating::kSparse}) {
+    for (std::size_t n = 2; n <= 40; ++n) {
+      SCOPED_TRACE("n = " + std::to_string(n) +
+                   (gating == sim::Gating::kDense ? " dense" : " sparse"));
+      expect_matches_analytic_per_cell(BstRule(make_costs(n, 2 * n + 1)), n,
+                                       gating);
+      expect_matches_analytic_per_cell(ChainRule(make_costs(n + 1, 2 * n)),
+                                       n, gating);
+      expect_matches_analytic_per_cell(PolygonRule(make_costs(n, 2 * n + 3)),
+                                       n, gating);
+    }
+  }
+}
+
+// FNV-1a over every field of a lowered tape: ops, levels, slot inits,
+// oracle values, outputs, the parameter plane, the provenance plane and
+// the lowering statistics.  Fields are hashed one by one (never raw
+// struct bytes, which would include padding).
+class TapeHasher {
+ public:
+  template <typename T>
+  void add(const T& x) {
+    static_assert(std::is_arithmetic_v<T> || std::is_enum_v<T>);
+    const auto* p = reinterpret_cast<const unsigned char*>(&x);
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      h_ = (h_ ^ p[i]) * 1099511628211ull;
+    }
+  }
+  void add(const std::string& s) {
+    add(s.size());
+    for (const char ch : s) add(ch);
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 1469598103934665603ull;
+};
+
+std::uint64_t tape_digest(const compile::CompiledNetlist& net) {
+  TapeHasher h;
+  h.add(net.semiring);
+  h.add(net.num_slots);
+  h.add(net.init.size());
+  for (const auto& in : net.init) {
+    h.add(in.slot);
+    h.add(in.value);
+  }
+  h.add(net.ops.size());
+  for (const auto& op : net.ops) {
+    h.add(op.dst);
+    h.add(op.a);
+    h.add(op.b);
+    h.add(op.c);
+    h.add(op.w);
+    h.add(op.kind);
+    h.add(op.param);
+  }
+  h.add(net.cycle_off.size());
+  for (const auto off : net.cycle_off) h.add(off);
+  h.add(net.expected.size());
+  for (const auto v : net.expected) h.add(v);
+  h.add(net.outputs.size());
+  for (const auto& out : net.outputs) {
+    h.add(out.tag);
+    h.add(out.index);
+    h.add(out.slot);
+    h.add(out.expected);
+  }
+  h.add(net.parameterised);
+  h.add(net.params.size());
+  for (const auto p : net.params) h.add(p);
+  const auto& prov = net.provenance;
+  h.add(prov.modules.size());
+  for (const auto& m : prov.modules) h.add(m);
+  h.add(prov.lanes.size());
+  for (const auto& lane : prov.lanes) {
+    h.add(lane.module);
+    h.add(lane.label);
+    h.add(lane.module_id);
+    h.add(lane.named);
+  }
+  h.add(prov.binds.size());
+  for (const auto& b : prov.binds) {
+    h.add(b.stamp);
+    h.add(b.lane);
+    h.add(b.slot);
+  }
+  h.add(prov.op_lane.size());
+  for (const auto l : prov.op_lane) h.add(l);
+  const auto& st = net.stats;
+  for (const std::uint64_t x :
+       {st.copies_elided, st.consts_interned, st.lanes_bound, st.named_lanes,
+        st.oracle_active_evals, st.oracle_dense_evals, st.oracle_busy_steps,
+        st.slots_uncompacted, st.ops_pruned, st.levels_fused}) {
+    h.add(x);
+  }
+  h.add(st.compacted);
+  h.add(st.opt_level);
+  return h.value();
+}
+
+// Lower rule `which` ("bst", "polygon", "chain") at size n under `opt`.
+std::uint64_t lowered_digest(const std::string& which, std::size_t n,
+                             const compile::LowerOptions& opt) {
+  if (which == "bst") {
+    TriangularModularArray<BstRule> arr(BstRule(make_costs(n, 3 * n + 1)), n);
+    return tape_digest(compile::lower_array(arr, opt).net);
+  }
+  if (which == "polygon") {
+    TriangularModularArray<PolygonRule> arr(
+        PolygonRule(make_costs(n, 3 * n + 2)), n);
+    return tape_digest(compile::lower_array(arr, opt).net);
+  }
+  TriangularModularArray<ChainRule> arr(ChainRule(make_costs(n + 1, 3 * n)),
+                                        n);
+  return tape_digest(compile::lower_array(arr, opt).net);
+}
+
+// Golden all-field digests of the lowered chain / BST / polygon tapes.
+// The matching and table layout of the interpreted array may change; the
+// tapes it narrates may not, byte for byte.
+TEST(TriangularModular, LoweredTapesMatchGoldenDigests) {
+  struct Golden {
+    const char* rule;
+    std::size_t n;
+    int optimize;
+    bool parameterise;
+    std::uint64_t digest;
+  };
+  const Golden golden[] = {
+      {"bst", 8, 0, false, 0x01bac1590562247aull},
+      {"bst", 8, 0, true, 0xd1581773aad08b39ull},
+      {"bst", 8, 2, false, 0xae9b0710ad19052cull},
+      {"bst", 8, 2, true, 0x84ab9684abd91667ull},
+      {"bst", 24, 0, false, 0x367f5e3e10974138ull},
+      {"bst", 24, 0, true, 0x1ffacd85d5f7b0cfull},
+      {"bst", 24, 2, false, 0x4ba70aa57c294f61ull},
+      {"bst", 24, 2, true, 0x2c636d7e5b209f86ull},
+      {"bst", 48, 0, false, 0xf811318f2c954fc5ull},
+      {"bst", 48, 0, true, 0x7169216f95622248ull},
+      {"bst", 48, 2, false, 0x0f5734986838bba2ull},
+      {"bst", 48, 2, true, 0xdfc8515b438cbc17ull},
+      {"polygon", 8, 0, false, 0x25362daf84b17eedull},
+      {"polygon", 8, 0, true, 0x69df677fe82e0d5eull},
+      {"polygon", 8, 2, false, 0xcf83fea45fa79dc6ull},
+      {"polygon", 8, 2, true, 0x706dc891de42af41ull},
+      {"polygon", 24, 0, false, 0x9f10d34a0bfdc24dull},
+      {"polygon", 24, 0, true, 0x750f2599e728dd80ull},
+      {"polygon", 24, 2, false, 0xc58b72aece8c66b1ull},
+      {"polygon", 24, 2, true, 0x0454928c7d5431b4ull},
+      {"polygon", 48, 0, false, 0x9a95e12b64763374ull},
+      {"polygon", 48, 0, true, 0x91e1792f2788573full},
+      {"polygon", 48, 2, false, 0x22b9998e53557711ull},
+      {"polygon", 48, 2, true, 0x9d48cb81dbc8cca6ull},
+      {"chain", 8, 0, false, 0x52687e44d215e362ull},
+      {"chain", 8, 0, true, 0xed39e1fe634d870eull},
+      {"chain", 8, 2, false, 0x2fe27c7e2bf31e12ull},
+      {"chain", 8, 2, true, 0x196ed7ce3381a22aull},
+      {"chain", 24, 0, false, 0xe2cd9b48c65bca5dull},
+      {"chain", 24, 0, true, 0xbdd2f5c2072dd98eull},
+      {"chain", 24, 2, false, 0x1ecec0a3dbf42399ull},
+      {"chain", 24, 2, true, 0xa5c2fc4de9b5772aull},
+      {"chain", 48, 0, false, 0xe23ef7bb09d3bbfaull},
+      {"chain", 48, 0, true, 0x3054729fbd07436dull},
+      {"chain", 48, 2, false, 0x09ef96051e2425e2ull},
+      {"chain", 48, 2, true, 0x5522f6703eb2f3fdull},
+  };
+  for (const Golden& g : golden) {
+    compile::LowerOptions opt;
+    opt.optimize = g.optimize;
+    opt.parameterise = g.parameterise;
+    EXPECT_EQ(lowered_digest(g.rule, g.n, opt), g.digest)
+        << g.rule << " n=" << g.n << " opt=" << g.optimize
+        << " parameterise=" << g.parameterise;
+  }
 }
 
 }  // namespace
