@@ -21,9 +21,21 @@ using compile::Output;
 using compile::SlotInit;
 using compile::TapeSemiring;
 
-/// Current-definition sentinels for the forward scan.
-constexpr std::int64_t kInitDef = -1;  ///< defined by a SlotInit entry
-constexpr std::int64_t kNoDef = -2;    ///< no definition reached yet
+/// Definition sentinels for the forward scan.  Op indices fit 32 bits
+/// (the cycle index is 32-bit), so every real definition compares below
+/// both.
+constexpr std::uint32_t kInitDef = 0xfffffffeu;  ///< a SlotInit entry
+constexpr std::uint32_t kNoDef = 0xffffffffu;    ///< none reached yet
+
+/// The definition currently visible in one slot, as the forward scan has
+/// resolved it so far.
+struct SlotDef {
+  std::uint32_t op = kNoDef;  ///< defining op, kInitDef or kNoDef
+  /// Defining level + 1; 0 for a SlotInit (the "level -1" reset image).
+  std::uint32_t level = 0;
+  /// Longest def-use chain ending in this definition, in ops (0 for init).
+  std::uint32_t depth = 0;
+};
 
 /// Emit helper: one check's findings at one severity.
 class Emitter {
@@ -106,8 +118,11 @@ struct TimesResult {
   bool clip = false;
 };
 
-/// Abstract semiring multiplication (saturating add).
-TimesResult abs_times(const AbsVal& x, const AbsVal& y) {
+/// Abstract semiring multiplication (saturating add).  This and
+/// abs_select() run once or twice per op in the forward scan; forcing them
+/// inline (the compiler declines on its own) takes a third off the scan.
+[[gnu::always_inline]] inline TimesResult abs_times(const AbsVal& x,
+                                                    const AbsVal& y) {
   TimesResult r;
   if (!x.known() || !y.known()) return r;
   // Sentinel operands absorb (sat_add checks +inf first, so +inf wins mixed
@@ -136,7 +151,9 @@ TimesResult abs_times(const AbsVal& x, const AbsVal& y) {
 
 /// Abstract semiring addition: the kernels' improves-select is exactly
 /// MIN (MinPlus) / MAX (MaxPlus) of its two operands.
-AbsVal abs_select(const AbsVal& x, const AbsVal& y, TapeSemiring sr) {
+[[gnu::always_inline]] inline AbsVal abs_select(const AbsVal& x,
+                                                const AbsVal& y,
+                                                TapeSemiring sr) {
   if (!x.known() || !y.known()) return AbsVal{};
   AbsVal r;
   if (sr == TapeSemiring::kMinPlus) {
@@ -162,6 +179,34 @@ AbsVal abs_select(const AbsVal& x, const AbsVal& y, TapeSemiring sr) {
 }
 
 // ---------------------------------------------------------------------------
+
+/// One branch-free sweep over the op tape: true iff every op names a known
+/// kernel and every slot it references is in range — exactly the per-op
+/// conditions check_structure() reports, so a clean tape never enters its
+/// diagnostic loop.
+bool ops_in_range(const CompiledNetlist& net) {
+  const std::uint32_t n = net.num_slots;
+  const auto fold = static_cast<std::uint8_t>(OpKind::kFold);
+  const auto relax = static_cast<std::uint8_t>(OpKind::kRelax);
+  std::uint32_t bad = 0;
+  for (const Op& op : net.ops) {
+    const auto kind = static_cast<std::uint8_t>(op.kind);
+    // Pair halves are named exactly as the diagnostic loop names them,
+    // in 32-bit slot arithmetic.
+    const sim::SlotId dst1 = op.dst + 1;
+    const sim::SlotId a1 = op.a + 1;
+    bad |= static_cast<std::uint32_t>(kind > relax) |
+           static_cast<std::uint32_t>(op.dst >= n) |
+           static_cast<std::uint32_t>(op.a >= n) |
+           static_cast<std::uint32_t>(op.b >= n) |
+           (static_cast<std::uint32_t>(kind == fold) &
+            static_cast<std::uint32_t>(op.c >= n)) |
+           (static_cast<std::uint32_t>(kind == relax) &
+            (static_cast<std::uint32_t>(dst1 >= n) |
+             static_cast<std::uint32_t>(a1 >= n)));
+  }
+  return bad == 0;
+}
 
 /// Structural validation; returns false if the tape is not safely
 /// traversable (every later check indexes it freely).
@@ -223,21 +268,24 @@ bool check_structure(const CompiledNetlist& net, const Emitter& emit) {
          std::string("operand ") + role + " names slot " + std::to_string(s) +
              " but the tape declares only " + std::to_string(n));
   };
-  for (std::uint64_t i = 0; i < nops; ++i) {
-    const Op& op = net.ops[i];
-    if (static_cast<std::uint8_t>(op.kind) > 2) {
-      note(op_site(i), "",
-           "op kind tag " + std::to_string(static_cast<unsigned>(op.kind)) +
-               " names no known kernel");
-      // dst/a/b mean "slot" under every known kind; still bound-check them.
-    }
-    check_slot(i, op.dst, "dst");
-    check_slot(i, op.a, "a");
-    check_slot(i, op.b, "b");
-    if (op.kind == OpKind::kFold) check_slot(i, op.c, "c");
-    if (op.kind == OpKind::kRelax) {
-      check_slot(i, op.dst + 1, "dst+1");
-      check_slot(i, op.a + 1, "a+1");
+  // The per-op diagnostic loop runs only when the range sweep found a fault.
+  if (!ops_in_range(net)) {
+    for (std::uint64_t i = 0; i < nops; ++i) {
+      const Op& op = net.ops[i];
+      if (static_cast<std::uint8_t>(op.kind) > 2) {
+        note(op_site(i), "",
+             "op kind tag " + std::to_string(static_cast<unsigned>(op.kind)) +
+                 " names no known kernel");
+        // dst/a/b mean "slot" under every known kind; still bound-check them.
+      }
+      check_slot(i, op.dst, "dst");
+      check_slot(i, op.a, "a");
+      check_slot(i, op.b, "b");
+      if (op.kind == OpKind::kFold) check_slot(i, op.c, "c");
+      if (op.kind == OpKind::kRelax) {
+        check_slot(i, op.dst + 1, "dst+1");
+        check_slot(i, op.a + 1, "a+1");
+      }
     }
   }
   for (const SlotInit& si : net.init) {
@@ -465,22 +513,27 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
   const Emitter emit_reach = emitter(kOutputReachability);
 
   // Which slots are written *anywhere* — separates dangling references
-  // (def-before-use) from defined-too-late ones (level-schedule).
-  std::vector<std::uint8_t> has_def(n, 0);
-  for (const SlotInit& si : net.init) has_def[si.slot] = 1;
-  for (const Op& op : net.ops) {
-    has_def[op.dst] = 1;
-    if (op.kind == OpKind::kRelax) has_def[op.dst + 1] = 1;
-  }
+  // (def-before-use) from defined-too-late ones (level-schedule).  Only an
+  // unresolved read asks, so the table is built on the first one.
+  std::vector<std::uint8_t> has_def;
+  const auto written_anywhere = [&](sim::SlotId s) {
+    if (has_def.empty()) {
+      has_def.assign(n, 0);
+      for (const SlotInit& si : net.init) has_def[si.slot] = 1;
+      for (const Op& op : net.ops) {
+        has_def[op.dst] = 1;
+        if (op.kind == OpKind::kRelax) has_def[op.dst + 1] = 1;
+      }
+    }
+    return has_def[s] != 0;
+  };
 
   // Forward-scan state: the definition currently visible in each slot.
-  std::vector<std::int64_t> def_op(n, kNoDef);
-  std::vector<std::int64_t> def_level(n, kNoDef);
-  std::vector<std::uint32_t> depth(nops, 0);  // longest def-use chain, in ops
+  std::vector<SlotDef> def(n);
   // Instance-resolved read edges (up to three per op) for dead-op
   // reachability — exact even on compacted tapes, where a slot name alone
-  // is ambiguous.
-  std::vector<std::array<std::int64_t, 3>> rdef(
+  // is ambiguous.  Each names an op earlier on the tape, or a sentinel.
+  std::vector<std::array<std::uint32_t, 3>> rdef(
       nops, {kNoDef, kNoDef, kNoDef});
   std::vector<std::uint32_t> writes(n, 0);
   std::vector<AbsVal> aval(n);
@@ -504,8 +557,7 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
                "slot is initialised more than once — the surviving value "
                "depends on init order");
     }
-    def_op[si.slot] = kInitDef;
-    def_level[si.slot] = -1;
+    def[si.slot] = SlotDef{kInitDef, 0, 0};
     aval[si.slot] = abs_const(si.value);
     if (si.value > st.max_abs_finite && !is_inf(si.value)) {
       st.max_abs_finite = si.value;
@@ -536,39 +588,41 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
       // -- reads: resolve each operand against the schedule so far.
       std::uint64_t min_level = 0;  // dependence-minimal level for this op
       std::uint32_t d = 0;          // deepest operand chain
-      const auto read = [&](sim::SlotId s, std::size_t rix,
-                            const char* role) {
+      // read and write run up to three times per op: forced inline, like
+      // abs_times(), because their cold diagnostic paths make the
+      // compiler keep them out of line.
+      const auto read = [&](sim::SlotId s, std::size_t rix, const char* role)
+                            __attribute__((always_inline)) {
         if (st.compacted) {
           // Mirror compute_liveness() exactly: reads touch the group even
           // when they fail to resolve.
           const std::uint32_t g = lv.base[s];
           glast[g] = std::max(glast[g], static_cast<std::uint32_t>(t));
         }
-        if (!has_def[s]) {
-          emit_dbu(op_site(i, t), slot_name(s),
-                   std::string("operand ") + role + " reads a slot nothing "
-                       "ever writes — dangling reference");
+        const SlotDef& sd = def[s];
+        if (sd.op == kNoDef) {
+          if (!written_anywhere(s)) {
+            emit_dbu(op_site(i, t), slot_name(s),
+                     std::string("operand ") + role + " reads a slot "
+                         "nothing ever writes — dangling reference");
+          } else {
+            emit_sched(op_site(i, t), slot_name(s),
+                       std::string("operand ") + role + " is read before "
+                           "its first definition in the schedule — replay "
+                           "would see an uninitialised slot");
+          }
           return;
         }
-        if (def_op[s] == kNoDef) {
-          emit_sched(op_site(i, t), slot_name(s),
-                     std::string("operand ") + role + " is read before its "
-                         "first definition in the schedule — replay would "
-                         "see an uninitialised slot");
-          return;
-        }
-        rdef[i][rix] = def_op[s];
-        if (def_op[s] >= 0) {
-          d = std::max(d, depth[static_cast<std::size_t>(def_op[s])]);
-        }
-        if (def_level[s] == static_cast<std::int64_t>(t)) {
+        rdef[i][rix] = sd.op;
+        d = std::max(d, sd.depth);
+        if (sd.level == t + 1) {
           // Same-level chain: legal only because the oracle executed the
           // defining op earlier in this very level (forward scan guarantees
           // program order).  A cross-kind chain pins the level's order, so
           // the optimizer's reorder pass cannot group it kind-major.
           ++st.in_level_chains;
           min_level = std::max(min_level, t);
-          const Op& dop = net.ops[static_cast<std::size_t>(def_op[s])];
+          const Op& dop = net.ops[sd.op];
           if (dop.kind != op.kind) {
             emit_sched(op_site(i, t), slot_name(s),
                        std::string("same-level read of a value produced by "
@@ -581,8 +635,7 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
                        Severity::kWarning);
           }
         } else {
-          min_level =
-              std::max(min_level, static_cast<std::uint64_t>(def_level[s] + 1));
+          min_level = std::max<std::uint64_t>(min_level, sd.level);
         }
       };
 
@@ -600,8 +653,8 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
           read(op.a, 0, "a");
           read(op.a + 1, 1, "a+1");
           read(op.b, 2, "b");
-          if (def_op[op.a] != kNoDef && def_op[op.a + 1] != kNoDef &&
-              def_op[op.a] != def_op[op.a + 1]) {
+          if (def[op.a].op != kNoDef && def[op.a + 1].op != kNoDef &&
+              def[op.a].op != def[op.a + 1].op) {
             emit_dbu(op_site(i, t), slot_name(op.a),
                      "pair operand halves " + slot_name(op.a) + "/" +
                          slot_name(op.a + 1) +
@@ -612,9 +665,8 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
       }
 
       // -- dependence depth and transport slack.
-      depth[i] = d + 1;
       st.dependence_depth = std::max<std::uint64_t>(st.dependence_depth,
-                                                    depth[i]);
+                                                    d + 1);
       if (t > min_level) {
         const std::uint64_t slack = t - min_level;
         ++st.transport_slack_ops;
@@ -690,7 +742,8 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
         gdef[g] = 1;
         glast[g] = std::max(glast[g], static_cast<std::uint32_t>(t));
       }
-      const auto write = [&](sim::SlotId s, const AbsVal& v) {
+      const auto write = [&](sim::SlotId s, const AbsVal& v)
+                             __attribute__((always_inline)) {
         ++writes[s];
         if (!st.compacted && writes[s] > 1) {
           emit_ssa(op_site(i, t), slot_name(s),
@@ -698,8 +751,7 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
                    "single assignment violated (" +
                        std::to_string(writes[s]) + " writes so far)");
         }
-        def_op[s] = static_cast<std::int64_t>(i);
-        def_level[s] = static_cast<std::int64_t>(t);
+        def[s] = SlotDef{i, static_cast<std::uint32_t>(t + 1), d + 1};
         aval[s] = v;
       };
       write(op.dst, out_dst);
@@ -728,32 +780,27 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
   }
 
   // --- output-reachability: every output written, every op feeding one.
+  // Every resolved read edge points to an earlier op, so one backward
+  // sweep closes the live set: when op i is reached, every op that can
+  // still make it live lies above it and has been visited.
   {
     std::vector<std::uint8_t> live(nops, 0);
-    std::vector<std::uint64_t> work;
     for (const Output& o : net.outputs) {
-      const std::string label = o.tag + "[" + std::to_string(o.index) + "]";
-      if (!has_def[o.slot]) {
-        emit_reach("output", label,
+      // After the scan every slot written anywhere holds a definition.
+      if (def[o.slot].op == kNoDef) {
+        emit_reach("output", o.tag + "[" + std::to_string(o.index) + "]",
                    "declared output reads " + slot_name(o.slot) +
                        ", which nothing ever writes — verify_outputs() "
                        "would compare garbage");
         continue;
       }
-      const std::int64_t d = def_op[o.slot];  // final definition
-      if (d >= 0 && live[static_cast<std::size_t>(d)] == 0) {
-        live[static_cast<std::size_t>(d)] = 1;
-        work.push_back(static_cast<std::uint64_t>(d));
-      }
+      const std::uint32_t d = def[o.slot].op;  // final definition
+      if (d < nops) live[d] = 1;
     }
-    while (!work.empty()) {
-      const std::uint64_t i = work.back();
-      work.pop_back();
-      for (const std::int64_t d : rdef[i]) {
-        if (d >= 0 && live[static_cast<std::size_t>(d)] == 0) {
-          live[static_cast<std::size_t>(d)] = 1;
-          work.push_back(static_cast<std::uint64_t>(d));
-        }
+    for (std::uint64_t i = nops; i-- > 0;) {
+      if (live[i] == 0) continue;
+      for (const std::uint32_t d : rdef[i]) {
+        if (d < nops) live[d] = 1;
       }
     }
     for (std::uint64_t i = 0; i < nops; ++i) {
@@ -767,8 +814,8 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
   }
 
   // --- provenance: the slot→port table, when present, must agree with
-  // the tape it annotates.  Runs after the forward scan so def_level is
-  // available for the sampling-order proof.
+  // the tape it annotates.  Runs after the forward scan so the per-slot
+  // definitions are available for the sampling-order proof.
   {
     const Emitter emit = emitter(kProvenance);
     const compile::Provenance& prov = net.provenance;
@@ -846,17 +893,16 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
         // of level stamp-1" is provable per bind.  (Compacted tapes reuse
         // slot names; the lifetime extension that keeps these samples
         // valid is compaction-safety's cross-checked territory.)
-        if (def_op[bind.slot] == kNoDef) {
+        if (def[bind.slot].op == kNoDef) {
           emit(bind_site(b), prov.lanes[bind.lane].label,
                "binds " + slot_name(bind.slot) +
                    ", which nothing ever writes — the waveform would "
                    "sample garbage");
-        } else if (def_level[bind.slot] >= static_cast<std::int64_t>(
-                                               bind.stamp)) {
+        } else if (def[bind.slot].level > bind.stamp) {
           emit(bind_site(b), prov.lanes[bind.lane].label,
                "stamp " + std::to_string(bind.stamp) + " samples " +
                    slot_name(bind.slot) + " defined at level " +
-                   std::to_string(def_level[bind.slot]) +
+                   std::to_string(def[bind.slot].level - 1) +
                    " — the register would show a value before the tape "
                    "computes it");
         }

@@ -12,8 +12,10 @@
 //                         last == op count), every slot reference in
 //                         range (incl. kRelax pair halves), op kinds
 //                         valid, expected-value array parallel to the
-//                         tape.  Failing this skips the deeper checks —
-//                         nothing below may index a corrupt tape.
+//                         tape.  A branch-free range sweep over the ops
+//                         runs first; the per-op diagnostic loop only
+//                         when it fails.  Failing this skips the deeper
+//                         checks — nothing below may index a corrupt tape.
 //   def-before-use      — every operand read resolves to *some*
 //                         definition (SlotInit or an op); a slot read but
 //                         never written anywhere is dangling.  kRelax
@@ -43,7 +45,10 @@
 //                         (error), and every op transitively feeds some
 //                         declared output through resolved def-use edges
 //                         (a dead op is a warning: the tape carries work
-//                         the outputs never observe).
+//                         the outputs never observe).  The forward scan
+//                         resolves each read to an earlier op, so one
+//                         backward sweep over the tape closes the live
+//                         set — no worklist.
 //   value-range         — abstract interpretation over (MIN,+)/(MAX,+):
 //                         per-slot intervals (finite range + may-be-inf
 //                         flags) propagated from SlotInit and immediate

@@ -338,6 +338,11 @@ void Design1Modular::elaborate(sim::Engine& engine) {
   stats_.reset();
   arena_ = std::make_unique<Arena>(m_);
   arena_->rec = engine.recorder();
+  // One MAC per matrix entry: (Q - 1) square m x m multiplies plus the
+  // r x m leftmost one.
+  if (arena_->rec != nullptr) {
+    arena_->rec->reserve_ops((Q - 1) * m_ * m_ + r * m_);
+  }
   host_ = std::make_unique<Host>(v_, m_, Q, r);
   host_->set_recorder(engine.recorder());
   engine.add(*host_);

@@ -205,6 +205,12 @@ void Design2Modular::elaborate(sim::Engine& engine) {
   stats_.reset();
   arena_ = std::make_unique<Arena>(m_);
   arena_->rec = engine.recorder();
+  // One MAC per matrix entry: (Q - 1) square m x m multiplies plus the
+  // r x m leftmost one.
+  if (arena_->rec != nullptr) {
+    const std::size_t q = mats_.size();
+    arena_->rec->reserve_ops((q - 1) * m_ * m_ + mats_.front().rows() * m_);
+  }
   feedback_ = std::make_unique<FeedbackUnit>(bus_, v_, m_);
   feedback_->s_snapshot_.assign(m_, MinPlus::zero());
   engine.add(*feedback_);  // bus driver first

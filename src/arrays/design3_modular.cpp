@@ -386,6 +386,11 @@ void Design3Modular::elaborate(sim::Engine& engine) {
   stats_.reset();
   arena_ = std::make_unique<Arena>(m_);
   arena_->rec = engine.recorder();
+  // One relaxation per edge between adjacent stages, (N - 1) m^2, plus one
+  // per last-stage node into the zero-cost sink, m.
+  if (arena_->rec != nullptr) {
+    arena_->rec->reserve_ops((n_stages_ - 1) * m_ * m_ + m_);
+  }
   controller_ = std::make_unique<Controller>(graph_, m_, n_stages_);
   engine.add(*controller_);  // bus driver before the stations
   pes_.clear();

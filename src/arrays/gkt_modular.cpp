@@ -402,6 +402,11 @@ void GktModularArray::elaborate(sim::Engine& engine) {
   const std::size_t n = num_matrices();
   arena_ = std::make_unique<Arena>(n);
   arena_->rec = engine.recorder();
+  // One fold per split candidate: cell (i, j) folds j - i of them, which
+  // sums to (n - 1) n (n + 1) / 6 over the triangle.
+  if (arena_->rec != nullptr) {
+    arena_->rec->reserve_ops((n - 1) * n * (n + 1) / 6);
+  }
   cells_.clear();
   // Registered in arena-id (diagonal-major) order so the engine's module
   // index equals the arena lane and the sorted active set walks the arena

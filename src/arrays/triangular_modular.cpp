@@ -430,6 +430,10 @@ TriangularModularCore::~TriangularModularCore() = default;
 void TriangularModularCore::elaborate(sim::Engine& engine) {
   arena_ = std::make_unique<Arena>(n_, base_, cands_);
   arena_->rec = engine.recorder();
+  // One fold per split candidate: announce the tape's exact op count.
+  if (arena_->rec != nullptr) {
+    arena_->rec->reserve_ops(cands_.cand_base.back());
+  }
   cells_.clear();
   // Registered in arena-id (diagonal-major) order, like GktModularArray.
   for (std::size_t d = 0; d < n_; ++d) {

@@ -15,6 +15,11 @@ namespace {
 constexpr std::uint32_t kNone = 0xffffffffu;
 constexpr std::uint32_t kPinned = TapeLiveness::kPinned;
 
+[[noreturn]] void unwritten_slot(sim::SlotId s) {
+  throw std::logic_error("compile::compact_slots: slot " + std::to_string(s) +
+                         " is read but never written — broken lowering");
+}
+
 }  // namespace
 
 CompactStats compact_slots(CompiledNetlist& net) {
@@ -48,17 +53,28 @@ CompactStats compact_slots(CompiledNetlist& net) {
     last[g] = std::max(last[g], b.stamp - 1);
   }
 
-  // --- expiry schedule: non-pinned groups in last-touch order, released
-  // just before the first level past their last touch begins.
-  std::vector<std::uint32_t> expiry;
-  expiry.reserve(n);
+  // --- expiry schedule: non-pinned groups in last-touch order (ties in
+  // slot order), released just before the first level past their last
+  // touch begins.  A counting sort over the levels: one bucket per level,
+  // plus one for groups last touched at or past the final level, which
+  // never expire (their order among themselves is never observed).
+  std::vector<std::uint32_t> bucket_end(static_cast<std::size_t>(cycles) + 2,
+                                        0);
+  const auto bucket = [&](std::uint32_t g) {
+    return std::min(last[g], cycles) + 1;
+  };
   for (std::uint32_t s = 0; s < n; ++s) {
-    if (base[s] == s && last[s] != kPinned) expiry.push_back(s);
+    if (base[s] == s && last[s] != kPinned) ++bucket_end[bucket(s)];
   }
-  std::stable_sort(expiry.begin(), expiry.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return last[a] < last[b];
-                   });
+  for (std::size_t b = 1; b < bucket_end.size(); ++b) {
+    bucket_end[b] += bucket_end[b - 1];
+  }
+  std::vector<std::uint32_t> expiry(bucket_end.back());
+  for (std::uint32_t s = 0; s < n; ++s) {
+    if (base[s] == s && last[s] != kPinned) {
+      expiry[bucket_end[bucket(s) - 1]++] = s;
+    }
+  }
 
   // --- linear scan: allocate groups at their defining write (init entry
   // or op destination), recycle indices from expired groups, exact-size
@@ -99,11 +115,7 @@ CompactStats compact_slots(CompiledNetlist& net) {
 
   // --- rewrite every slot reference through the new naming.
   const auto map = [&](sim::SlotId s) -> sim::SlotId {
-    if (new_of[s] == kNone) {
-      throw std::logic_error(
-          "compile::compact_slots: slot " + std::to_string(s) +
-          " is read but never written — broken lowering");
-    }
+    if (new_of[s] == kNone) unwritten_slot(s);
     return new_of[s];
   };
   for (Op& op : net.ops) {

@@ -1,5 +1,6 @@
 #include "compile/recorder.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 
@@ -15,73 +16,141 @@ namespace {
                          what);
 }
 
+[[noreturn]] void live_mismatch(const char* site, Cost held,
+                                std::int64_t live) {
+  bail(site,
+       "narrated binding disagrees with the oracle's live value (slot "
+       "holds " +
+           std::to_string(held) + ", oracle observed " +
+           std::to_string(live) + ") — a model mis-narrated a write");
+}
+
+constexpr unsigned kInitialLaneBits = 10;  ///< initial table: 2^10 entries
+
+/// Fibonacci hashing: storage keys are strided addresses inside module
+/// arenas, the multiply spreads them and the top bits index the table.
+std::size_t lane_hash(const void* key, unsigned shift) {
+  return static_cast<std::size_t>(
+      (reinterpret_cast<std::uintptr_t>(key) * 0x9E3779B97F4A7C15ull) >>
+      shift);
+}
+
 }  // namespace
 
-sim::SlotId Recorder::alloc(Cost value) {
-  if (concrete_.size() >= std::numeric_limits<sim::SlotId>::max() - 1) {
+Recorder::Recorder()
+    : lane_table_(std::size_t{1} << kInitialLaneBits),
+      lane_shift_(64 - kInitialLaneBits) {}
+
+void Recorder::reserve_ops(std::uint64_t ops) {
+  if (ops >= std::numeric_limits<sim::SlotId>::max()) {
+    bail("reserve_ops", "announced op count exceeds the 32-bit slot space");
+  }
+  const auto n = static_cast<std::size_t>(ops);
+  // Every op defines one slot (two for a relax pair) and its result is
+  // bound to a lane about once (up to ~1.5 times on Design 1), so these
+  // bounds hold every shipped family without regrowth.
+  ops_.reserve(n);
+  slots_.reserve(slots_.size() + 2 * n);
+  binds_.reserve(2 * n);
+}
+
+// The per-narration helpers (alloc, push_op, lane_entry, record_bind,
+// rebind, concrete, check_live) run several times per recorded op.  Their
+// error paths make the compiler keep them out of line; they are forced
+// inline instead, which measurably shortens every narration call.
+
+[[gnu::always_inline]] inline sim::SlotId Recorder::alloc(Cost value) {
+  if (slots_.size() >= std::numeric_limits<sim::SlotId>::max() - 1) {
     bail("alloc", "slot file exceeds 32-bit index space");
   }
-  concrete_.push_back(value);
-  pair_head_.push_back(0);
-  slot_op_.push_back(Provenance::kNone);
-  return static_cast<sim::SlotId>(concrete_.size() - 1);
+  slots_.push_back({value, Provenance::kNone, 0});
+  return static_cast<sim::SlotId>(slots_.size() - 1);
 }
 
-std::uint32_t Recorder::new_lane(const void* key) {
-  const auto lane = static_cast<std::uint32_t>(lane_key_of_.size());
-  lane_id_.emplace(key, lane);
+[[gnu::always_inline]] inline sim::SlotId Recorder::push_op(Op op) {
+  const auto i = static_cast<std::uint32_t>(ops_.size());
+  op.param = i;
+  ops_.push_back(op);
+  return op.dst;
+}
+
+[[gnu::always_inline]] inline Recorder::LaneEntry& Recorder::lane_entry(
+    const void* key) {
+  if (key == nullptr) bail("lane", "null storage key");
+  const std::size_t mask = lane_table_.size() - 1;
+  for (std::size_t i = lane_hash(key, lane_shift_);; i = (i + 1) & mask) {
+    LaneEntry& e = lane_table_[i];
+    if (e.key == key) return e;
+    if (e.key == nullptr) return add_lane(key);
+  }
+}
+
+Recorder::LaneEntry& Recorder::add_lane(const void* key) {
+  // Keep the table at most 3/4 full: probe runs stay short and the table
+  // small enough to stay cache-resident next to the oracle's own state.
+  if (4 * (lane_key_of_.size() + 1) > 3 * lane_table_.size()) {
+    std::vector<LaneEntry> old(2 * lane_table_.size());
+    old.swap(lane_table_);
+    --lane_shift_;
+    for (const LaneEntry& e : old) {
+      if (e.key != nullptr) free_entry(e.key) = e;
+    }
+  }
+  LaneEntry& e = free_entry(key);
+  e.key = key;
+  e.lane = static_cast<std::uint32_t>(lane_key_of_.size());
   lane_key_of_.push_back(key);
-  lane_slot_.push_back(Provenance::kNone);
-  return lane;
+  return e;
 }
 
-void Recorder::record_bind(std::uint32_t lane, sim::SlotId slot,
-                           std::uint32_t stamp) {
+Recorder::LaneEntry& Recorder::free_entry(const void* key) {
+  const std::size_t mask = lane_table_.size() - 1;
+  std::size_t i = lane_hash(key, lane_shift_);
+  while (lane_table_[i].key != nullptr) i = (i + 1) & mask;
+  return lane_table_[i];
+}
+
+[[gnu::always_inline]] inline void Recorder::record_bind(
+    LaneEntry& lane, sim::SlotId slot, std::uint32_t stamp) {
   // Rebinding a lane to the slot it already points at carries no waveform
   // information — skip the event, mirroring the copy-elision dedup.
-  if (lane_slot_[lane] == slot) return;
-  lane_slot_[lane] = slot;
+  if (lane.slot == slot) return;
+  lane.slot = slot;
   if (stamp == 0) {
-    reset_binds_.push_back({stamp, lane, slot});
+    reset_binds_.push_back({stamp, lane.lane, slot});
   } else {
     // Nonzero stamps come from the cycle index, which only grows, so the
     // committed log stays sorted by construction.
     if (!binds_.empty() && binds_.back().stamp > stamp) {
       bail("record_bind", "bind stamp went backwards");
     }
-    binds_.push_back({stamp, lane, slot});
+    binds_.push_back({stamp, lane.lane, slot});
   }
-  // First-bind-wins op attribution: the op that defined this slot belongs
-  // to the module whose register first captures its result.
-  const std::uint32_t def = slot_op_[slot];
-  if (def != Provenance::kNone && op_lane_[def] == Provenance::kNone) {
-    op_lane_[def] = lane;
-  }
+  // First-bind-wins attribution: the op that defined this slot belongs to
+  // the module whose register first captures its result.
+  SlotRecord& rec = slots_[slot];
+  if (rec.lane == Provenance::kNone) rec.lane = lane.lane;
 }
 
-void Recorder::rebind(const void* key, sim::SlotId slot, std::uint32_t stamp) {
-  const auto it = lane_id_.find(key);
-  if (it == lane_id_.end()) {
-    record_bind(new_lane(key), slot, stamp);
-    return;
-  }
-  if (lane_slot_[it->second] != slot) ++copies_elided_;
-  record_bind(it->second, slot, stamp);
+[[gnu::always_inline]] inline void Recorder::rebind(const void* key,
+                                                    sim::SlotId slot,
+                                                    std::uint32_t stamp) {
+  LaneEntry& lane = lane_entry(key);
+  // A fresh lane (slot kNone) has no previous value to elide a copy of.
+  if (lane.slot != Provenance::kNone && lane.slot != slot) ++copies_elided_;
+  record_bind(lane, slot, stamp);
 }
 
-Cost Recorder::concrete(sim::SlotId slot, const char* site) const {
-  if (slot >= concrete_.size()) bail(site, "slot id out of range");
-  return concrete_[slot];
+[[gnu::always_inline]] inline Cost Recorder::concrete(sim::SlotId slot,
+                                                      const char* site) const {
+  if (slot >= slots_.size()) bail(site, "slot id out of range");
+  return slots_[slot].value;
 }
 
-void Recorder::check_live(sim::SlotId slot, std::int64_t live,
-                          const char* site) const {
+[[gnu::always_inline]] inline void Recorder::check_live(
+    sim::SlotId slot, std::int64_t live, const char* site) const {
   if (concrete(slot, site) != live) {
-    bail(site,
-         "narrated binding disagrees with the oracle's live value (slot "
-         "holds " +
-             std::to_string(concrete_[slot]) + ", oracle observed " +
-             std::to_string(live) + ") — a model mis-narrated a write");
+    live_mismatch(site, slots_[slot].value, live);
   }
 }
 
@@ -106,7 +175,7 @@ sim::SlotId Recorder::constant_pair(std::int64_t value, std::int64_t arg) {
   }
   const sim::SlotId s = alloc(value);  // arg must land at s + 1
   const sim::SlotId a = alloc(arg);
-  pair_head_[s] = 1;
+  slots_[s].pair_head = 1;
   init_.push_back({s, value});
   init_.push_back({a, arg});
   const_pair_cache_.emplace(key, s);
@@ -114,26 +183,25 @@ sim::SlotId Recorder::constant_pair(std::int64_t value, std::int64_t arg) {
 }
 
 sim::SlotId Recorder::lane(const void* key, std::int64_t live) {
-  const auto it = lane_id_.find(key);
-  if (it != lane_id_.end()) {
-    const sim::SlotId s = lane_slot_[it->second];
-    check_live(s, live, "lane");
-    return s;
+  LaneEntry& lane = lane_entry(key);
+  if (lane.slot != Provenance::kNone) {
+    check_live(lane.slot, live, "lane");
+    return lane.slot;
   }
   // First touch: the oracle observed this lane's reset value — intern it,
   // so initial state is captured without any per-array bookkeeping.  The
   // bind carries stamp 0: the register has held this value since reset.
   const sim::SlotId s = constant(live);
-  record_bind(new_lane(key), s, 0);
+  record_bind(lane, s, 0);
   return s;
 }
 
 sim::SlotId Recorder::lane_pair(const void* key, std::int64_t live,
                                 std::int64_t arg) {
-  const auto it = lane_id_.find(key);
-  if (it != lane_id_.end()) {
-    const sim::SlotId s = lane_slot_[it->second];
-    if (pair_head_[s] == 0) {
+  LaneEntry& lane = lane_entry(key);
+  if (lane.slot != Provenance::kNone) {
+    const sim::SlotId s = lane.slot;
+    if (slots_[s].pair_head == 0) {
       bail("lane_pair", "lane is bound to a scalar slot");
     }
     check_live(s, live, "lane_pair");
@@ -141,18 +209,8 @@ sim::SlotId Recorder::lane_pair(const void* key, std::int64_t live,
     return s;
   }
   const sim::SlotId s = constant_pair(live, arg);
-  record_bind(new_lane(key), s, 0);
+  record_bind(lane, s, 0);
   return s;
-}
-
-sim::SlotId Recorder::pending(const void* key, std::int64_t live) {
-  for (auto it = staged_.rbegin(); it != staged_.rend(); ++it) {
-    if (it->first == key) {
-      check_live(it->second, live, "pending");
-      return it->second;
-    }
-  }
-  return lane(key, live);
 }
 
 void Recorder::bind_now(const void* key, sim::SlotId slot) {
@@ -170,13 +228,7 @@ void Recorder::bind_staged(const void* key, sim::SlotId slot) {
 sim::SlotId Recorder::mac(sim::SlotId base, std::int64_t w, sim::SlotId x) {
   const Cost result =
       kern::mac<MinPlus>(concrete(base, "mac"), w, concrete(x, "mac"));
-  const sim::SlotId dst = alloc(result);
-  ops_.push_back({dst, base, x, 0, w, OpKind::kMac,
-                  static_cast<std::uint32_t>(ops_.size())});
-  expected_.push_back(result);
-  slot_op_[dst] = static_cast<std::uint32_t>(ops_.size() - 1);
-  op_lane_.push_back(Provenance::kNone);
-  return dst;
+  return push_op({alloc(result), base, x, 0, w, OpKind::kMac, 0});
 }
 
 sim::SlotId Recorder::fold(sim::SlotId best, sim::SlotId left,
@@ -185,51 +237,49 @@ sim::SlotId Recorder::fold(sim::SlotId best, sim::SlotId left,
       concrete(left, "fold"), concrete(right, "fold"), local);
   const Cost prev = concrete(best, "fold");
   const Cost result = cand < prev ? cand : prev;
-  const sim::SlotId dst = alloc(result);
-  ops_.push_back({dst, best, left, right, local, OpKind::kFold,
-                  static_cast<std::uint32_t>(ops_.size())});
-  expected_.push_back(result);
-  slot_op_[dst] = static_cast<std::uint32_t>(ops_.size() - 1);
-  op_lane_.push_back(Provenance::kNone);
-  return dst;
+  return push_op({alloc(result), best, left, right, local, OpKind::kFold, 0});
 }
 
 sim::SlotId Recorder::relax(sim::SlotId pair, sim::SlotId kh,
                             std::int64_t edge, std::int64_t station) {
-  if (pair_head_[pair] == 0) bail("relax", "source is not a pair slot");
-  const Cost cand = sat_add(concrete(kh, "relax"), edge);
   const Cost prev = concrete(pair, "relax");
+  if (slots_[pair].pair_head == 0) bail("relax", "source is not a pair slot");
+  const Cost cand = sat_add(concrete(kh, "relax"), edge);
+  const Cost prev_arg = concrete(pair + 1, "relax(arg)");
   const bool better = cand < prev;
+  // Consecutive allocs keep the arg half adjacent to the value half.
   const sim::SlotId dst = alloc(better ? cand : prev);
-  const sim::SlotId darg =
-      alloc(better ? station : concrete(pair + 1, "relax(arg)"));
-  (void)darg;  // adjacency is guaranteed by consecutive alloc calls
-  pair_head_[dst] = 1;
-  ops_.push_back({dst, pair, kh, static_cast<sim::SlotId>(station), edge,
-                  OpKind::kRelax, static_cast<std::uint32_t>(ops_.size())});
-  expected_.push_back(concrete_[dst]);
-  slot_op_[dst] = static_cast<std::uint32_t>(ops_.size() - 1);
-  op_lane_.push_back(Provenance::kNone);
-  return dst;
+  alloc(better ? station : prev_arg);
+  slots_[dst].pair_head = 1;
+  return push_op({dst, pair, kh, static_cast<sim::SlotId>(station), edge,
+                  OpKind::kRelax, 0});
 }
 
 void Recorder::output(std::string_view tag, std::uint64_t index,
                       sim::SlotId slot, std::int64_t observed) {
   check_live(slot, observed, "output");
-  const auto key = std::make_pair(std::string(tag), index);
-  const auto it = output_index_.find(key);
-  if (it != output_index_.end()) {
+  auto tag_it = std::find_if(output_index_.begin(), output_index_.end(),
+                             [&](const auto& t) { return t.first == tag; });
+  if (tag_it == output_index_.end()) {
+    tag_it = output_index_.emplace(output_index_.end(), std::string(tag),
+                                   std::unordered_map<std::uint64_t,
+                                                      std::size_t>{});
+  }
+  const auto [it, fresh] = tag_it->second.try_emplace(index, outputs_.size());
+  if (!fresh) {
     outputs_[it->second].slot = slot;
     outputs_[it->second].expected = observed;
     return;
   }
-  output_index_.emplace(key, outputs_.size());
-  outputs_.push_back({key.first, index, slot, observed});
+  outputs_.push_back({tag_it->first, index, slot, observed});
 }
 
 void Recorder::output_arg(std::string_view tag, std::uint64_t index,
                           sim::SlotId pair, std::int64_t observed) {
-  if (pair_head_[pair] == 0) bail("output_arg", "slot is not a pair head");
+  (void)concrete(pair, "output_arg");
+  if (slots_[pair].pair_head == 0) {
+    bail("output_arg", "slot is not a pair head");
+  }
   output(tag, index, pair + 1, observed);
 }
 
@@ -253,17 +303,25 @@ CompiledNetlist Recorder::finish(bool parameterise) {
   if (!staged_.empty()) {
     bail("finish", "staged binds left dangling — oracle stopped mid-cycle");
   }
-  if (ops_.size() != expected_.size() ||
-      cycle_off_.back() != ops_.size()) {
+  if (cycle_off_.back() != ops_.size()) {
     bail("finish", "op tape and cycle index disagree");
   }
   CompiledNetlist net;
   net.semiring = TapeSemiring::kMinPlus;
-  net.num_slots = static_cast<std::uint32_t>(concrete_.size());
+  net.num_slots = static_cast<std::uint32_t>(slots_.size());
   net.init = std::move(init_);
   net.ops = std::move(ops_);
   net.cycle_off = std::move(cycle_off_);
-  net.expected = std::move(expected_);
+  // One sweep over the tape gathers each op's oracle value and provenance
+  // lane from its destination slot: on the SSA tape that slot holds
+  // exactly the value the oracle computed for the op, and its first bind.
+  net.expected.resize(net.ops.size());
+  net.provenance.op_lane.resize(net.ops.size());
+  for (std::size_t i = 0; i < net.ops.size(); ++i) {
+    const SlotRecord& rec = slots_[net.ops[i].dst];
+    net.expected[i] = rec.value;
+    net.provenance.op_lane[i] = rec.lane;
+  }
   net.outputs = std::move(outputs_);
   if (parameterise) {
     // The oracle binding: one parameter per op, holding the weight the
@@ -276,15 +334,14 @@ CompiledNetlist Recorder::finish(bool parameterise) {
   // against the captured netlist once the oracle run is sealed), bind
   // events sorted by stamp with narration order kept within one stamp —
   // the stamp-0 first-touch events, then the committed ones, each log
-  // already in that order — and the per-op lane attribution.
+  // already in that order.
   net.provenance.lanes.resize(lane_key_of_.size());
   for (std::size_t i = 0; i < net.provenance.lanes.size(); ++i) {
     net.provenance.lanes[i].label = "lane" + std::to_string(i);
   }
-  net.provenance.binds = std::move(reset_binds_);
-  net.provenance.binds.insert(net.provenance.binds.end(), binds_.begin(),
-                              binds_.end());
-  net.provenance.op_lane = std::move(op_lane_);
+  net.provenance.binds = std::move(binds_);
+  net.provenance.binds.insert(net.provenance.binds.begin(),
+                              reset_binds_.begin(), reset_binds_.end());
   net.stats.copies_elided = copies_elided_;
   net.stats.consts_interned = consts_interned_;
   net.stats.lanes_bound = lane_key_of_.size();

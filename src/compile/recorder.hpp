@@ -12,11 +12,18 @@
 //     values visible.
 //
 // It shadow-executes everything: each slot carries the concrete value the
-// oracle produced for it, every lane() / pending() / output() call is
-// verified against the live value the caller just observed, and every op's
-// result is recorded as the tape's expected value.  A mis-narrated model
-// therefore fails loudly at lowering time with the first inconsistent
-// site, instead of producing a tape that silently diverges.
+// oracle produced for it, every lane() / output() call is verified against
+// the live value the caller just observed, and every op's result becomes
+// the tape's expected value (gathered from the destination slots at
+// finish(): on an SSA tape they are the same numbers).  A mis-narrated
+// model therefore fails loudly at lowering time with the first
+// inconsistent site, instead of producing a tape that silently diverges.
+//
+// Buffers are sized once: the array's reserve_ops() announcement reserves
+// the op tape, the per-slot records and the bind log, so a run with an
+// exact announcement never regrows them.  Storage keys
+// map to lanes through a flat open-addressing table (one probe per
+// narrated key, no node allocation).
 #pragma once
 
 #include <cstdint>
@@ -35,15 +42,15 @@ namespace sysdp::compile {
 
 class Recorder final : public sim::OpRecorder, public sim::EngineObserver {
  public:
-  Recorder() = default;
+  Recorder();
 
   // --- sim::OpRecorder ----------------------------------------------------
+  void reserve_ops(std::uint64_t ops) override;
   sim::SlotId constant(std::int64_t value) override;
   sim::SlotId constant_pair(std::int64_t value, std::int64_t arg) override;
   sim::SlotId lane(const void* key, std::int64_t live) override;
   sim::SlotId lane_pair(const void* key, std::int64_t live,
                         std::int64_t arg) override;
-  sim::SlotId pending(const void* key, std::int64_t live) override;
   void bind_now(const void* key, sim::SlotId slot) override;
   void bind_staged(const void* key, sim::SlotId slot) override;
   sim::SlotId mac(sim::SlotId base, std::int64_t w, sim::SlotId x) override;
@@ -74,45 +81,71 @@ class Recorder final : public sim::OpRecorder, public sim::EngineObserver {
   [[nodiscard]] CompiledNetlist finish(bool parameterise = false);
 
  private:
+  /// One cell of the SSA slot file as the recorder shadows it.
+  struct SlotRecord {
+    Cost value = 0;  ///< concrete oracle value
+    /// Lane the slot was first bound to, or kNone.  For an op's dst this
+    /// is the op's provenance attribution, gathered at finish().
+    std::uint32_t lane = Provenance::kNone;
+    std::uint8_t pair_head = 0;  ///< value half of a (value, arg) pair
+  };
+  /// One lane-table entry: a storage key, its lane id and the slot the
+  /// lane is bound to (kNone until the first bind).  key == nullptr marks
+  /// an empty entry.
+  struct LaneEntry {
+    const void* key = nullptr;
+    std::uint32_t lane = 0;
+    sim::SlotId slot = Provenance::kNone;
+  };
+
   sim::SlotId alloc(Cost concrete);
   [[nodiscard]] Cost concrete(sim::SlotId slot, const char* site) const;
   void check_live(sim::SlotId slot, std::int64_t live, const char* site) const;
-  /// Intern a key seen for the first time; returns its lane id.
-  std::uint32_t new_lane(const void* key);
+  /// Entry for `key`, interning it as a fresh lane (slot kNone) if it was
+  /// never narrated before.
+  LaneEntry& lane_entry(const void* key);
+  /// Intern `key` as the next lane, doubling the table first if it would
+  /// pass 3/4 full.
+  LaneEntry& add_lane(const void* key);
+  /// The empty entry `key`'s probe sequence ends at.
+  LaneEntry& free_entry(const void* key);
+  /// Append `op` (its dst freshly allocated) as the next tape op; returns
+  /// the dst.
+  sim::SlotId push_op(Op op);
   /// Provenance: one bind event of `lane` at `stamp`, and first-bind-wins
-  /// op attribution via the bound slot's defining op.
-  void record_bind(std::uint32_t lane, sim::SlotId slot, std::uint32_t stamp);
+  /// attribution of the bound slot (and so of the op defining it).
+  void record_bind(LaneEntry& lane, sim::SlotId slot, std::uint32_t stamp);
   /// Point `key`'s lane at `slot` (bind_now and the commit edge), counting
   /// an elided copy when the lane already held a different slot.
   void rebind(const void* key, sim::SlotId slot, std::uint32_t stamp);
 
-  std::vector<Cost> concrete_;          ///< shadow value per slot
-  std::vector<std::uint8_t> pair_head_; ///< slot is the value half of a pair
+  std::vector<SlotRecord> slots_;
   std::vector<std::pair<const void*, sim::SlotId>> staged_;
   std::unordered_map<std::int64_t, sim::SlotId> const_cache_;
   std::map<std::pair<std::int64_t, std::int64_t>, sim::SlotId>
       const_pair_cache_;
   std::vector<SlotInit> init_;
   AlignedVec<Op> ops_;
-  std::vector<Cost> expected_;
   std::vector<std::uint32_t> cycle_off_{0};
   std::vector<Output> outputs_;
-  std::map<std::pair<std::string, std::uint64_t>, std::size_t> output_index_;
+  /// Declared-output index: per distinct tag (a handful per design, in
+  /// first-seen order), the position in outputs_ of each declared index.
+  std::vector<std::pair<std::string,
+                        std::unordered_map<std::uint64_t, std::size_t>>>
+      output_index_;
   std::uint64_t copies_elided_ = 0;
   std::uint64_t consts_interned_ = 0;
-  // Lane map and provenance plane: one hash probe per narrated key gives
-  // its lane id, and lane_slot_ holds the slot the lane is bound to — the
-  // only binding table.  Bind events in narration order, split by stamp:
-  // stamp 0 = reset (first touches, interleaved with the run) and stamp
-  // t+1 = committed at end of cycle t (nondecreasing).  Then the defining
-  // op of each slot, and the lane each op's dst first bound to.
-  std::unordered_map<const void*, std::uint32_t> lane_id_;
+  // Lane map and provenance plane: a power-of-two open-addressing table
+  // (linear probing, at most 3/4 full) gives each narrated key its lane
+  // id and bound slot — the only binding table.  Bind events in narration
+  // order, split by stamp: stamp 0 = reset (first touches, interleaved
+  // with the run) and stamp t+1 = committed at end of cycle t
+  // (nondecreasing).
+  std::vector<LaneEntry> lane_table_;
+  unsigned lane_shift_ = 0;  ///< 64 - log2(table size)
   std::vector<const void*> lane_key_of_;
-  std::vector<std::uint32_t> lane_slot_;  ///< bound slot per lane
   std::vector<ProvenanceBind> reset_binds_;
   std::vector<ProvenanceBind> binds_;
-  std::vector<std::uint32_t> slot_op_;  ///< defining op per slot, or kNone
-  std::vector<std::uint32_t> op_lane_;  ///< parallel to ops_
   bool finished_ = false;
 };
 

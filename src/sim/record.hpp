@@ -26,6 +26,14 @@
 //     arg rides in the slot adjacent to the value, so one SlotId moves
 //     both halves.
 //
+// The paper's arrays run a fixed, data-independent schedule, so each one
+// knows its op count from its shape before the first cycle.  A narrating
+// array announces that count once, from elaborate(), through reserve_ops();
+// the recorder sizes its tape and per-slot buffers from it instead of
+// growing them op by op.  The announcement is a capacity hint, not part of
+// the tape: a missing, short or long one changes no recorded value, only
+// how often buffers grow.
+//
 // sim knows only this abstract interface; the concrete Recorder that turns
 // the narration into a CompiledNetlist lives in src/compile.  Arrays guard
 // every call behind a null check, so a run without a recorder pays one
@@ -48,6 +56,12 @@ class OpRecorder {
   OpRecorder& operator=(const OpRecorder&) = delete;
   virtual ~OpRecorder() = default;
 
+  // --- sizing -------------------------------------------------------------
+  /// Announce that the run will record `ops` semiring ops in total (mac +
+  /// fold + relax).  Called at most once, before the first op; the default
+  /// ignores it.
+  virtual void reserve_ops(std::uint64_t ops) { (void)ops; }
+
   // --- slots --------------------------------------------------------------
   /// Interned constant value; repeated calls with the same value return the
   /// same slot.
@@ -62,9 +76,6 @@ class OpRecorder {
   /// Pair-slot variant of lane(); auto-initialises to constant_pair.
   virtual SlotId lane_pair(const void* key, std::int64_t live,
                            std::int64_t arg) = 0;
-  /// Slot staged for `key` this cycle if any, else the current binding.
-  /// Mirrors a commit phase reading a register it just latched.
-  virtual SlotId pending(const void* key, std::int64_t live) = 0;
 
   // --- bindings -----------------------------------------------------------
   /// Rebind `key` to `slot`, visible to reads later in the same cycle.

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -628,6 +629,141 @@ TEST(TapeVerifyText, BindSiteReportRendersExactly) {
 // Every registered design instance verifies clean in all three variants:
 // the raw SSA tape, the compacted tape, and a parameterised tape under a
 // perturbed rebinding.
+
+// Dead-op chains interleaved with live ops across levels: a dead chain
+// spanning three levels (op1 -> op3 -> op4) and a dead op fed by a live
+// value (op6).  Reachability reports each dead op once, in tape order.
+TEST(TapeVerifyText, DeadChainsAcrossLevelsReportInTapeOrder) {
+  compile::CompiledNetlist net;
+  net.num_slots = 9;
+  net.init = {{0, 10}, {1, 4}};
+  net.ops = {{2, 0, 1, 0, 1, OpKind::kMac, 0},   // L0 live
+             {3, 0, 1, 0, 2, OpKind::kMac, 1},   // L0 dead
+             {4, 2, 0, 0, 3, OpKind::kMac, 2},   // L1 live
+             {5, 3, 1, 0, 1, OpKind::kMac, 3},   // L1 dead
+             {6, 5, 0, 0, 1, OpKind::kMac, 4},   // L2 dead
+             {7, 4, 1, 0, 1, OpKind::kMac, 5},   // L2 live: the output
+             {8, 2, 0, 0, 5, OpKind::kMac, 6}};  // L2 dead, reads live op0
+  net.cycle_off = {0, 2, 4, 7};
+  net.expected = {5, 6, 5, 5, 5, 5, 5};
+  net.outputs = {{"res", 0, 7, 5}};
+  const auto rep = analysis::verify_tape(net, "fixture");
+  EXPECT_EQ(rep.stats.dead_ops, 4u);
+  EXPECT_EQ(rep.errors(), 0u) << rep.to_text();
+  const std::vector<std::string> sites = {
+      "output-reachability warning op#1@L0 'slot3'",
+      "output-reachability warning op#3@L1 'slot5'",
+      "output-reachability warning op#4@L2 'slot6'",
+      "output-reachability warning op#6@L2 'slot8'",
+      "level-schedule note tape ''"};
+  EXPECT_EQ(sites_of(rep), sites) << rep.to_text();
+}
+
+// Reachability against a reference worklist search over random SSA tapes:
+// same dead-op count, same warnings, same (tape) order.
+TEST(TapeVerify, DeadOpsMatchReferenceReachability) {
+  std::uint64_t s = 0x9e3779b97f4a7c15ull;
+  const auto next = [&](std::uint64_t bound) {
+    s ^= s << 13;
+    s ^= s >> 7;
+    s ^= s << 17;
+    return s % bound;
+  };
+  for (int trial = 0; trial < 50; ++trial) {
+    compile::CompiledNetlist net;
+    net.init = {{0, 10}, {1, 4}, {2, 7}};
+    std::vector<std::uint32_t> def_of = {compile::Provenance::kNone,
+                                         compile::Provenance::kNone,
+                                         compile::Provenance::kNone};
+    net.cycle_off = {0};
+    const std::uint64_t levels = 2 + next(10);
+    for (std::uint64_t t = 0; t < levels; ++t) {
+      // Operands come from earlier levels only: no in-level chains.
+      const auto visible = static_cast<std::uint32_t>(def_of.size());
+      const std::uint64_t width = next(6);
+      for (std::uint64_t k = 0; k < width; ++k) {
+        const auto i = static_cast<std::uint32_t>(net.ops.size());
+        const auto dst = static_cast<sim::SlotId>(def_of.size());
+        net.ops.push_back({dst, static_cast<sim::SlotId>(next(visible)),
+                           static_cast<sim::SlotId>(next(visible)), 0,
+                           static_cast<Cost>(next(9)), OpKind::kMac, i});
+        def_of.push_back(i);
+      }
+      net.cycle_off.push_back(static_cast<std::uint32_t>(net.ops.size()));
+    }
+    net.num_slots = static_cast<std::uint32_t>(def_of.size());
+    for (std::uint64_t k = 0, outs = 1 + next(3); k < outs; ++k) {
+      net.outputs.push_back({"res", k, static_cast<sim::SlotId>(
+                                           next(net.num_slots)), 0});
+    }
+    // Reference: worklist search from each output's defining op.
+    std::vector<std::uint8_t> live(net.ops.size(), 0);
+    std::vector<std::uint32_t> work;
+    const auto reach = [&](sim::SlotId slot) {
+      const std::uint32_t d = def_of[slot];
+      if (d != compile::Provenance::kNone && live[d] == 0) {
+        live[d] = 1;
+        work.push_back(d);
+      }
+    };
+    for (const auto& o : net.outputs) reach(o.slot);
+    while (!work.empty()) {
+      const compile::Op& op = net.ops[work.back()];
+      work.pop_back();
+      reach(op.a);
+      reach(op.b);
+    }
+    std::vector<std::string> expected_sites;
+    for (std::uint32_t i = 0; i < net.ops.size(); ++i) {
+      if (live[i] != 0) continue;
+      expected_sites.push_back(
+          "output-reachability warning op#" + std::to_string(i) + "@L" +
+          std::to_string(net.level_of_op(i)) + " 'slot" +
+          std::to_string(net.ops[i].dst) + "'");
+    }
+    const auto rep = analysis::verify_tape(net, "random");
+    std::vector<std::string> reach_sites;
+    for (const std::string& site : sites_of(rep)) {
+      if (site.rfind("output-reachability", 0) == 0) {
+        reach_sites.push_back(site);
+      }
+    }
+    EXPECT_EQ(rep.stats.dead_ops, expected_sites.size()) << "trial " << trial;
+    EXPECT_EQ(reach_sites, expected_sites) << "trial " << trial;
+    EXPECT_EQ(rep.errors(), 0u) << rep.to_text();
+  }
+}
+
+// A range fault in the last op is found by the range sweep and reported
+// by the per-op loop exactly once, with the full message.
+TEST(TapeVerifyText, StructureFaultInLastOpIsOneFinding) {
+  {
+    auto net = small_tape();
+    net.ops.back().a = 9;
+    const auto rep = analysis::verify_tape(net, "fixture");
+    ASSERT_EQ(rep.diagnostics.size(), 1u) << rep.to_text();
+    EXPECT_EQ(sites_of(rep),
+              std::vector<std::string>{"tape-structure error op#1 'slot9'"});
+    EXPECT_EQ(rep.diagnostics[0].message,
+              "operand a names slot 9 but the tape declares only 4");
+  }
+  {
+    // A relax whose destination pair runs one slot off the file.
+    compile::CompiledNetlist net;
+    net.num_slots = 4;
+    net.init = {{0, 10}, {1, 0}, {2, 3}};
+    net.ops = {{3, 0, 2, 1, 2, OpKind::kRelax, 0}};
+    net.cycle_off = {0, 1};
+    net.expected = {5};
+    net.outputs = {{"best", 0, 3, 5}};
+    const auto rep = analysis::verify_tape(net, "fixture");
+    ASSERT_EQ(rep.diagnostics.size(), 1u) << rep.to_text();
+    EXPECT_EQ(sites_of(rep),
+              std::vector<std::string>{"tape-structure error op#0 'slot4'"});
+    EXPECT_EQ(rep.diagnostics[0].message,
+              "operand dst+1 names slot 4 but the tape declares only 4");
+  }
+}
 
 TEST(TapeVerifyRegistry, AllDesignsAllVariantsVerifyClean) {
   for (const auto& spec : examples::all_designs()) {

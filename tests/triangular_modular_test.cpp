@@ -4,7 +4,6 @@
 // GKT arrays on chain inputs, and be bit-identical across engine modes.
 #include <cstdint>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +13,7 @@
 #include "arrays/triangular_array.hpp"
 #include "arrays/triangular_modular.hpp"
 #include "compile/lower.hpp"
+#include "tape_digest.hpp"
 
 namespace sysdp {
 namespace {
@@ -269,108 +269,21 @@ TEST(TriangularModular, SharedOriginsAllMatch) {
   }
 }
 
-// FNV-1a over every field of a lowered tape: ops, levels, slot inits,
-// oracle values, outputs, the parameter plane, the provenance plane and
-// the lowering statistics.  Fields are hashed one by one (never raw
-// struct bytes, which would include padding).
-class TapeHasher {
- public:
-  template <typename T>
-  void add(const T& x) {
-    static_assert(std::is_arithmetic_v<T> || std::is_enum_v<T>);
-    const auto* p = reinterpret_cast<const unsigned char*>(&x);
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      h_ = (h_ ^ p[i]) * 1099511628211ull;
-    }
-  }
-  void add(const std::string& s) {
-    add(s.size());
-    for (const char ch : s) add(ch);
-  }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 1469598103934665603ull;
-};
-
-std::uint64_t tape_digest(const compile::CompiledNetlist& net) {
-  TapeHasher h;
-  h.add(net.semiring);
-  h.add(net.num_slots);
-  h.add(net.init.size());
-  for (const auto& in : net.init) {
-    h.add(in.slot);
-    h.add(in.value);
-  }
-  h.add(net.ops.size());
-  for (const auto& op : net.ops) {
-    h.add(op.dst);
-    h.add(op.a);
-    h.add(op.b);
-    h.add(op.c);
-    h.add(op.w);
-    h.add(op.kind);
-    h.add(op.param);
-  }
-  h.add(net.cycle_off.size());
-  for (const auto off : net.cycle_off) h.add(off);
-  h.add(net.expected.size());
-  for (const auto v : net.expected) h.add(v);
-  h.add(net.outputs.size());
-  for (const auto& out : net.outputs) {
-    h.add(out.tag);
-    h.add(out.index);
-    h.add(out.slot);
-    h.add(out.expected);
-  }
-  h.add(net.parameterised);
-  h.add(net.params.size());
-  for (const auto p : net.params) h.add(p);
-  const auto& prov = net.provenance;
-  h.add(prov.modules.size());
-  for (const auto& m : prov.modules) h.add(m);
-  h.add(prov.lanes.size());
-  for (const auto& lane : prov.lanes) {
-    h.add(lane.module);
-    h.add(lane.label);
-    h.add(lane.module_id);
-    h.add(lane.named);
-  }
-  h.add(prov.binds.size());
-  for (const auto& b : prov.binds) {
-    h.add(b.stamp);
-    h.add(b.lane);
-    h.add(b.slot);
-  }
-  h.add(prov.op_lane.size());
-  for (const auto l : prov.op_lane) h.add(l);
-  const auto& st = net.stats;
-  for (const std::uint64_t x :
-       {st.copies_elided, st.consts_interned, st.lanes_bound, st.named_lanes,
-        st.oracle_active_evals, st.oracle_dense_evals, st.oracle_busy_steps,
-        st.slots_uncompacted, st.ops_pruned, st.levels_fused}) {
-    h.add(x);
-  }
-  h.add(st.compacted);
-  h.add(st.opt_level);
-  return h.value();
-}
-
 // Lower rule `which` ("bst", "polygon", "chain") at size n under `opt`.
 std::uint64_t lowered_digest(const std::string& which, std::size_t n,
                              const compile::LowerOptions& opt) {
   if (which == "bst") {
     TriangularModularArray<BstRule> arr(BstRule(make_costs(n, 3 * n + 1)), n);
-    return tape_digest(compile::lower_array(arr, opt).net);
+    return golden::tape_digest(compile::lower_array(arr, opt).net);
   }
   if (which == "polygon") {
     TriangularModularArray<PolygonRule> arr(
         PolygonRule(make_costs(n, 3 * n + 2)), n);
-    return tape_digest(compile::lower_array(arr, opt).net);
+    return golden::tape_digest(compile::lower_array(arr, opt).net);
   }
   TriangularModularArray<ChainRule> arr(ChainRule(make_costs(n + 1, 3 * n)),
                                         n);
-  return tape_digest(compile::lower_array(arr, opt).net);
+  return golden::tape_digest(compile::lower_array(arr, opt).net);
 }
 
 // Golden all-field digests of the lowered chain / BST / polygon tapes.
