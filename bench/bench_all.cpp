@@ -69,7 +69,6 @@
 #include "arrays/design2_modular.hpp"
 #include "arrays/design3_modular.hpp"
 #include "arrays/gkt_array.hpp"
-#include "arrays/gkt_modular.hpp"
 #include "arrays/graph_adapter.hpp"
 #include "arrays/triangular_array.hpp"
 #include "arrays/triangular_modular.hpp"
@@ -328,15 +327,16 @@ std::vector<GatingEntry> measure_gating() {
     out.push_back(std::move(e));
   }
   {
-    // The 2-D GKT array is the headline gating workload: the wavefront
-    // keeps only the flit-carrying diagonal band of cells busy (~1/5 of
-    // cell-cycles at n=96 — the paper's worst processor-utilisation case),
-    // so skipping the idle cells pays far more than on the linear arrays.
+    // The 2-D GKT array (the chain rule on the triangular array) is the
+    // headline gating workload: the wavefront keeps only the
+    // flit-carrying diagonal band of cells busy (~1/5 of cell-cycles at
+    // n=96 — the paper's worst processor-utilisation case), so skipping
+    // the idle cells pays far more than on the linear arrays.
     GatingEntry e;
-    e.name = "gkt_modular_n96";
+    e.name = "chain_modular_n96";
     Rng rng(96096);
-    const auto dims = random_chain_dims(96, rng);
-    GktModularArray arr(dims);
+    const ChainRule rule(random_chain_dims(96, rng));
+    TriangularModularArray<ChainRule> arr(rule, rule.num_matrices());
     std::uint64_t dense_busy = 0, sparse_busy = 0;
     Cost dense_total = 0, sparse_total = 0;
     e.dense_seconds = median5_seconds([&] {
@@ -411,7 +411,7 @@ CompiledSample measure_compiled_one(const char* name, MakeArray&& make,
   });
   auto arr = make();
   auto low = compile::lower_array(arr);
-  s.cycles = low.net.cycles();
+  s.cycles = low.oracle_cycles;
   s.num_ops = low.net.num_ops();
   compile::CompiledEngine ce(low.net);
   ce.run_all();
@@ -451,11 +451,16 @@ std::vector<CompiledSample> measure_compiled(
       [&] { return Design1Modular(mats, v); },
       [](const RunResult<Cost>& r) { return r.busy_steps; }));
   {
-    Rng rng(96096);  // same instance as the gkt_modular_n96 gating entry
-    const auto dims = random_chain_dims(96, rng);
+    Rng rng(96096);  // same instance as the chain_modular_n96 gating entry
+    const ChainRule rule(random_chain_dims(96, rng));
     out.push_back(measure_compiled_one(
-        "compiled_gkt_n96", [&] { return GktModularArray(dims); },
-        [](const GktModularArray::Result& r) { return r.stats.busy_steps; }));
+        "compiled_chain_n96",
+        [&] {
+          return TriangularModularArray<ChainRule>(rule, rule.num_matrices());
+        },
+        [](const TriangularModularArray<ChainRule>::Result& r) {
+          return r.stats.busy_steps;
+        }));
   }
   {
     Rng rng(777);
@@ -596,19 +601,13 @@ CompiledBatchSample measure_compiled_batch_one(const char* name,
 
 std::vector<CompiledBatchSample> measure_compiled_batch(
     const std::vector<Matrix<Cost>>& mats, const std::vector<Cost>& v) {
-  // The three rebindable 96-wide families (Design 3 and the BST rule pin
+  // The two rebindable 96-wide families (Design 3 and the BST rule pin
   // instance data in interned constants, so they batch under the oracle
   // binding only and are covered by the lane-exactness tests instead).
   std::vector<CompiledBatchSample> out;
   out.push_back(measure_compiled_batch_one(
       "compiled_batch_design1_96pe",
       [&] { return Design1Modular(mats, v); }));
-  {
-    Rng rng(96096);  // same instance as the compiled_gkt_n96 entry
-    const auto dims = random_chain_dims(96, rng);
-    out.push_back(measure_compiled_batch_one(
-        "compiled_batch_gkt_n96", [&] { return GktModularArray(dims); }));
-  }
   {
     Rng rng(96955);
     const auto dims = random_chain_dims(96, rng);
@@ -629,7 +628,7 @@ std::vector<CompiledBatchSample> measure_compiled_batch(
 /// — and both tapes replayed.  The families are the narrow string-product
 /// pipelines whose fill/drain ramps leave levels nearly empty (occupancy
 /// 2–4 op-lanes): exactly where per-level dispatch overhead dominates and
-/// level fusion pays.  Wide tapes (gkt, bst) sit near 1.0x here by
+/// level fusion pays.  Wide tapes (chain, bst) sit near 1.0x here by
 /// design — fusion cannot create work, only remove level boundaries.
 struct OptimizedSample {
   std::string name;

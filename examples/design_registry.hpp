@@ -24,7 +24,6 @@
 #include "arrays/design1_modular.hpp"
 #include "arrays/design2_modular.hpp"
 #include "arrays/design3_modular.hpp"
-#include "arrays/gkt_modular.hpp"
 #include "arrays/run_result.hpp"
 #include "arrays/triangular_array.hpp"
 #include "arrays/triangular_modular.hpp"
@@ -187,20 +186,19 @@ inline std::vector<DesignSpec> all_designs() {
                          std::move(arr), std::move(graph));
                    }});
   }
-  // GKT matrix-chain triangle.
-  for (std::size_t m : {3u, 6u}) {
-    std::string name = "gkt-modular[m" + std::to_string(m) + "]";
-    out.push_back({name, [m] {
-                     return std::make_unique<TypedInstance<GktModularArray>>(
-                         std::make_unique<GktModularArray>(
-                             deterministic_costs(m + 1, m)));
+  // Triangular family.  The GKT matrix-chain array is the chain rule.
+  using Chain = TriangularModularArray<ChainRule>;
+  for (std::size_t n : {3u, 6u}) {
+    out.push_back({"triangular-chain[n" + std::to_string(n) + "]", [n] {
+                     return std::make_unique<TypedInstance<Chain>>(
+                         std::make_unique<Chain>(
+                             ChainRule(deterministic_costs(n + 1, n)), n));
                    }});
   }
-  // Generic triangular family: one instance per rule.
+  // One instance per rule.
   for (std::size_t n : {4u, 7u}) {
     using Bst = TriangularModularArray<BstRule>;
     using Poly = TriangularModularArray<PolygonRule>;
-    using Chain = TriangularModularArray<ChainRule>;
     out.push_back({"triangular-bst[n" + std::to_string(n) + "]", [n] {
                      return std::make_unique<TypedInstance<Bst>>(
                          std::make_unique<Bst>(

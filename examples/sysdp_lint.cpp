@@ -6,8 +6,8 @@
 // Two gates share this driver:
 //
 //   default     — netlist lint.  Elaborates each example array (Designs
-//                 1-3, the GKT chain array, and the generic triangular
-//                 family) at the registry's fixed sizes on a fresh engine,
+//                 1-3 and the triangular family, whose chain rule is the
+//                 GKT array) at the registry's fixed sizes on a fresh engine,
 //                 captures the dataflow netlist, and runs the analysis
 //                 checks (schema sysdp-lint-v1).
 //   --tape      — tape verification.  Lowers each instance to a compiled

@@ -30,8 +30,9 @@
 #include "analysis/tape_verify.hpp"
 #include "andor/stage_reduction.hpp"
 #include "arrays/design1_modular.hpp"
-#include "arrays/gkt_modular.hpp"
 #include "arrays/graph_adapter.hpp"
+#include "arrays/triangular_array.hpp"
+#include "arrays/triangular_modular.hpp"
 #include "compile/batch_engine.hpp"
 #include "compile/engine.hpp"
 #include "compile/lower.hpp"
@@ -262,32 +263,33 @@ SolveReport solve_monadic_compiled(const MultistageGraph& g,
                std::to_string(low.net.cycles()) + " levels" +
                route_suffix(low, route) + ")";
   rep.work_steps = low.net.num_ops();
-  rep.cycles = low.net.cycles();
+  rep.cycles = low.oracle_cycles;
   rep.assignment = solve_monadic_serial(g).assignment;
   return rep;
 }
 
-/// --engine=compiled on a matrix chain: the GKT triangle lowered to a
-/// flat tape; the root cell carries the optimum.
+/// --engine=compiled on a matrix chain: the GKT triangle (the chain rule
+/// on the engine-backed triangular array) lowered to a flat tape; the root
+/// cell carries the optimum.
 SolveReport solve_chain_compiled(const std::vector<Cost>& dims,
                                  const CompiledRoute& route,
                                  obs::MetricsRegistry* metrics) {
   SolveReport rep;
   rep.cls = {Recursion::kPolyadic, Structure::kNonserial};
-  GktModularArray arr(dims);
+  const ChainRule rule(dims);
+  TriangularModularArray<ChainRule> arr(rule, rule.num_matrices());
   compile::LowerOptions lopt;
   lopt.optimize = route.opt;
   const auto low = compile::lower_array(arr, lopt);
-  const std::size_t n = dims.size() - 1;
   const auto ce = checked_replay(low);
   if (metrics != nullptr) profiled_replays(low, *metrics);
-  rep.cost = n >= 2 ? ce.output("cell", n - 1) : 0;
+  rep.cost = ce.output("cell", rule.num_matrices() - 1);  // root (0, n - 1)
   rep.method = "GKT array via compiled tape (" +
                std::to_string(low.net.num_ops()) + " ops, " +
                std::to_string(low.net.cycles()) + " levels" +
                route_suffix(low, route) + ")";
   rep.work_steps = low.net.num_ops();
-  rep.cycles = low.net.cycles();
+  rep.cycles = low.oracle_cycles;
   return rep;
 }
 

@@ -209,8 +209,8 @@ class PolygonRule {
 /// Rule for the optimal matrix-multiplication order (the paper's eq. 6):
 ///   m(i, j) = min_{i <= k < j} m(i, k) + m(k+1, j) + d_i d_{k+1} d_{j+1}
 /// over chain dimensions d.  This is the recurrence the GKT array is
-/// specialised for, so the generic triangular models cross-check against
-/// GktRtlArray / GktModularArray on identical inputs.
+/// specialised for, so on identical inputs the generic triangular models
+/// cross-check against the analytic GktArray and the RTL GktRtlArray.
 class ChainRule {
  public:
   explicit ChainRule(std::vector<Cost> dims);

@@ -19,8 +19,9 @@ struct Flit {
   std::uint32_t b = 0;
 };
 
-/// The row and column link registers at one cell position, two-phase (see
-/// GktModularArray::LinkPair — same fabric).
+/// The row and column link registers at one cell position, two-phase: eval
+/// stages the through-shift into *_nxt, commit makes it current (or merges
+/// a waiting launch into a gap).
 struct LinkPair {
   Flit row_cur, col_cur;
   Flit row_nxt, col_nxt;
@@ -45,7 +46,7 @@ struct CellMeta {
 /// completion-launch slots, and the mutable per-candidate state (arrived
 /// operand values, ready FIFO), addressed through the core's immutable
 /// candidate tables.  Cell modules are thin lane views, registered
-/// diagonal-major like GktModularArray.
+/// diagonal-major so the engine's module index equals the arena id.
 struct TriangularModularCore::Arena {
   std::size_t n;
   const Candidates& cands;  ///< owned by the core, built once per array
@@ -67,8 +68,8 @@ struct TriangularModularCore::Arena {
   std::vector<std::uint32_t> q_store;
 
   /// Tape recorder mirroring the fold datapath, or null when not lowering.
-  /// As in GktModularArray, fold operands resolve against origin-cell best
-  /// lanes; diagonal origins auto-initialise to their base value.
+  /// Fold operands resolve against origin-cell best lanes; diagonal
+  /// origins auto-initialise to their base value.
   sim::OpRecorder* rec = nullptr;
 
   Arena(std::size_t n_in, const std::vector<Cost>& base,
@@ -302,9 +303,9 @@ class TriangularModularCore::Cell : public sim::Module {
     return i_ == j_ ? sim::SleepMode::kRetire : sim::SleepMode::kWakeable;
   }
 
-  /// Same key model as GktModularArray: link registers and launch slots,
-  /// with the leaf tie-off convention (a diagonal never writes its own
-  /// links, so downstream cells do not declare reads of diagonal links).
+  /// Keys are the link registers and launch slots, with the leaf tie-off
+  /// convention: a diagonal never writes its own links, so downstream
+  /// cells do not declare reads of diagonal links.
   void describe_ports(sim::PortSet& ports) const override {
     const Arena& a = a_;
     const auto slot = [](const char* base, std::size_t i, std::size_t j) {
@@ -435,7 +436,9 @@ void TriangularModularCore::elaborate(sim::Engine& engine) {
     arena_->rec->reserve_ops(cands_.cand_base.back());
   }
   cells_.clear();
-  // Registered in arena-id (diagonal-major) order, like GktModularArray.
+  // Registered in arena-id (diagonal-major) order, so the engine's module
+  // index equals the arena id and the sorted active set walks the arena
+  // sequentially.
   for (std::size_t d = 0; d < n_; ++d) {
     for (std::size_t i = 0; i + d < n_; ++i) {
       cells_.push_back(std::make_unique<Cell>(i, i + d, *arena_));
@@ -519,7 +522,11 @@ TriangularModularCore::Result TriangularModularCore::run(sim::Engine& engine) {
       }
     }
   }
-  out.stats.cycles = until.cycles;
+  // The root completes last (every interval is a sub-interval of it), so
+  // its completion cycle is the array's latency: the count the analytic
+  // TriangularArray and the GKT witnesses report.  Cycles are numbered
+  // from 0, so the engine stepped one more than that.
+  out.stats.cycles = out.completion();
   out.stats.active_evals = engine.active_evals();
   out.stats.dense_evals = engine.dense_evals();
   return out;

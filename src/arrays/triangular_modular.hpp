@@ -1,13 +1,12 @@
-// Engine-backed triangular array for the whole interval-DP family.
+// Engine-backed triangular array for the whole interval-DP family: the
+// GKT matrix-chain array (the paper's polyadic example, Sections 4 and
+// 6.2), optimal BST and polygon triangulation, each a TriangularArray rule
+// run on discrete cell modules.  Per-cell row and column link registers
+// carry values one register per cycle, completed results launch rightward
+// along the row and upward along the column, and each cell folds up to
+// two ready candidates per cycle.
 //
-// GktModularArray hard-codes the matrix-chain recurrence; this model runs
-// any TriangularArray rule (chain, optimal BST, polygon triangulation) on
-// discrete cell modules with the same transport fabric: per-cell row and
-// column link registers, values hopping one register per cycle, completed
-// results launched rightward along the row and upward along the column,
-// each cell folding up to two ready candidates per cycle.
-//
-// Two generalisations over the GKT cells make the family fit:
+// Two generalisations over the chain-only GKT cells make the family fit:
 //
 //   * Origin-matched operands.  A rule's candidate t at cell (i, j) names
 //     a left sub-interval on row i and a right sub-interval on column j.
@@ -23,10 +22,15 @@
 //     recurrence only; richer rules can collide a completion launch with
 //     a through-shifting flit.  Instead of the GKT conflict assertion, a
 //     staged launch waits in its slot until the receiver's link has a
-//     gap.  Timing therefore need not match the analytic model
-//     cycle-for-cycle — tests assert cost equality with TriangularArray
-//     (and, for the chain rule, with the GKT arrays) plus bit-identical
-//     results across dense/gated engines.
+//     gap.
+//
+// Timing is cycle-exact against the analytic model.  Every cell's
+// completion cycle `done(i, j)` equals TriangularArray::ready(i, j), and
+// `stats.cycles` is the root's completion cycle `done(0, n - 1)` (0 at
+// n = 1), exactly TriangularArray's count.  For the chain rule, cost,
+// `done`, busy steps and cycles also equal GktRtlArray's.  Tests pin all
+// three rules at n = 2..40 in both gating modes, and results are
+// bit-identical across dense/gated engines.
 //
 // The quiescence contract extends to the waiting slots: a cell sleeps
 // only when its links are empty, its ready queue is drained, AND no
@@ -102,9 +106,10 @@ class TriangularModularCore {
     }
   };
 
-  /// Simulate until every cell has completed.  Bit-identical across
-  /// dense/gated engines; throws std::logic_error if the
-  /// array does not converge within the transport bound.
+  /// Simulate until every cell has completed.  `stats.cycles` is the
+  /// root's completion cycle (see the header comment).  Bit-identical
+  /// across dense/gated engines; throws std::logic_error if the array does
+  /// not converge within the transport bound.
   [[nodiscard]] Result run(sim::Gating gating = sim::Gating::kSparse);
 
   /// Run on a caller-constructed engine, so telemetry observers (VCD,

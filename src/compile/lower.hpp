@@ -69,6 +69,12 @@ struct LowerOptions {
 
 struct Lowered {
   CompiledNetlist net;
+  /// The oracle run's own reported cycle count (`cycles` or
+  /// `stats.cycles` of the family's result): the array's latency, counted
+  /// the way its analytic witness counts it.  Not the tape's level count,
+  /// which follows the cycles the oracle engine stepped (one more for the
+  /// triangles, which report the root's completion cycle) and which the
+  /// optimizer then fuses.
   sim::Cycle oracle_cycles = 0;
 };
 
@@ -83,6 +89,16 @@ template <typename R>
     return static_cast<std::uint64_t>(r.stats.busy_steps);
   } else {
     return 0;
+  }
+}
+
+/// Reported cycle count of a run result, read like busy_steps_of.
+template <typename R>
+[[nodiscard]] sim::Cycle cycles_of(const R& r) {
+  if constexpr (requires { r.cycles; }) {
+    return static_cast<sim::Cycle>(r.cycles);
+  } else {
+    return static_cast<sim::Cycle>(r.stats.cycles);
   }
 }
 
@@ -147,7 +163,7 @@ template <typename Array>
   const auto result = arr.run(oracle);
 
   Lowered out;
-  out.oracle_cycles = oracle.now();
+  out.oracle_cycles = detail::cycles_of(result);
   out.net = rec.finish(opt.parameterise);
   out.net.stats.oracle_active_evals = oracle.active_evals();
   out.net.stats.oracle_dense_evals = oracle.dense_evals();
@@ -156,11 +172,11 @@ template <typename Array>
     out.net.stats.named_lanes = detail::resolve_provenance(
         out.net.provenance, rec.lane_key_table(), netlist);
   }
-  if (out.net.cycles() != out.oracle_cycles) {
+  if (out.net.cycles() != oracle.now()) {
     throw std::logic_error(
         "compile::lower_array: tape has " + std::to_string(out.net.cycles()) +
         " dependency levels but the oracle ran " +
-        std::to_string(out.oracle_cycles) + " cycles");
+        std::to_string(oracle.now()) + " cycles");
   }
   if (opt.check_busy_steps &&
       out.net.num_ops() != out.net.stats.oracle_busy_steps) {

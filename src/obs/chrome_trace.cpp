@@ -159,34 +159,4 @@ void append_timeline_trace(ChromeTraceWriter& writer,
   }
 }
 
-void append_pool_trace(ChromeTraceWriter& writer,
-                       const PoolTraceRecorder& recorder, std::uint32_t pid) {
-  const auto spans = recorder.spans();
-  writer.process_name(pid, "host thread pool");
-  if (spans.empty()) return;
-  std::uint64_t t0 = spans.front().t0_ns;
-  std::size_t max_lane = 0;
-  for (const auto& s : spans) {
-    t0 = std::min(t0, s.t0_ns);
-    max_lane = std::max(max_lane, s.lane);
-  }
-  for (std::size_t lane = 0; lane <= max_lane; ++lane) {
-    writer.thread_name(pid, static_cast<std::uint32_t>(lane),
-                       lane == 0 ? "caller" : "worker " + std::to_string(lane));
-  }
-  for (const auto& s : spans) {
-    const char* name = "chunk";
-    const char* cat = "work";
-    if (s.kind == sim::PoolObserver::SpanKind::kTask) {
-      name = "task";
-    } else if (s.kind == sim::PoolObserver::SpanKind::kBarrierWait) {
-      name = "barrier_wait";
-      cat = "wait";
-    }
-    writer.complete_event(name, cat, pid, static_cast<std::uint32_t>(s.lane),
-                          static_cast<double>(s.t0_ns - t0) / 1000.0,
-                          static_cast<double>(s.t1_ns - s.t0_ns) / 1000.0);
-  }
-}
-
 }  // namespace sysdp::obs

@@ -1,13 +1,10 @@
 // Chrome trace-event JSON exporter (load in Perfetto / chrome://tracing).
 //
-// One writer covers both time domains the repo has:
-//
-//   * simulated time — DnC scheduler busy spans (dnc::ScheduleSpan, units
-//     of T_1 mapped to microseconds) and cycle-bucketed PE activity
-//     counters (TimelineSink), drawn per array / per PE so eq. (29)'s
-//     wind-down phase and eq. (9)'s fill/drain are visible as idle gaps;
-//   * host wall-clock — ThreadPool lane spans and barrier waits recorded
-//     by PoolTraceRecorder, explaining where BatchSpeedup's time goes.
+// The writer draws simulated time: DnC scheduler busy spans
+// (dnc::ScheduleSpan, units of T_1 mapped to microseconds) and
+// cycle-bucketed PE activity counters (TimelineSink), per array / per PE,
+// so eq. (29)'s wind-down phase and eq. (9)'s fill/drain are visible as
+// idle gaps.
 //
 // The writer is bounded with an explicit drop count (same policy surface
 // as sim::Trace): a runaway span source truncates the trace and says so,
@@ -18,12 +15,10 @@
 
 #include <cstdint>
 #include <fstream>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "dnc/schedule.hpp"
-#include "sim/thread_pool.hpp"
 
 namespace sysdp::obs {
 
@@ -86,33 +81,6 @@ class ChromeTraceWriter {
   std::size_t streamed_ = 0;  ///< events already teed to the stream
 };
 
-/// Thread-safe sim::PoolObserver that buffers spans for later export.
-class PoolTraceRecorder final : public sim::PoolObserver {
- public:
-  struct Span {
-    std::size_t lane;
-    SpanKind kind;
-    std::uint64_t t0_ns;
-    std::uint64_t t1_ns;
-  };
-
-  void on_span(std::size_t lane, SpanKind kind, std::uint64_t t0_ns,
-               std::uint64_t t1_ns) override {
-    const std::lock_guard<std::mutex> lock(mu_);
-    spans_.push_back(Span{lane, kind, t0_ns, t1_ns});
-  }
-
-  /// Snapshot of the recorded spans (copy, taken under the lock).
-  [[nodiscard]] std::vector<Span> spans() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return spans_;
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::vector<Span> spans_;
-};
-
 /// DnC scheduler spans: one viewer thread per array, one 1-T_1-wide span
 /// per executed product (T_1 rendered as kT1Microseconds).  Names the
 /// process "dnc scheduler (K=k)".
@@ -125,11 +93,6 @@ void append_schedule_trace(ChromeTraceWriter& writer,
 void append_timeline_trace(ChromeTraceWriter& writer,
                            const TimelineSink& timeline,
                            std::uint32_t pid = 2);
-
-/// Host-layer pool spans, normalised so the earliest span starts at 0.
-void append_pool_trace(ChromeTraceWriter& writer,
-                       const PoolTraceRecorder& recorder,
-                       std::uint32_t pid = 3);
 
 /// Microseconds one scheduler step (T_1) is drawn as.
 inline constexpr double kT1Microseconds = 1000.0;

@@ -28,27 +28,6 @@
 
 namespace sysdp::sim {
 
-/// Host-layer telemetry hook: receives wall-clock spans of pool activity
-/// so chrome-trace exporters can show where BatchSpeedup's time goes.
-///
-///   * kChunk       — one lane's whole share of a parallel_for_dynamic
-///   * kTask        — one submit()ted task executing on a worker
-///   * kBarrierWait — the calling thread blocked on the parallel_for_dynamic
-///                    barrier after its lane ran out of work (work vs.
-///                    wait, the number that explains fork-join overhead)
-///
-/// on_span is called concurrently from every lane; implementations must be
-/// thread-safe.  Timestamps are steady-clock nanoseconds (same epoch for
-/// every span of one process, so spans are directly comparable).
-class PoolObserver {
- public:
-  enum class SpanKind : std::uint8_t { kChunk, kTask, kBarrierWait };
-
-  virtual ~PoolObserver() = default;
-  virtual void on_span(std::size_t lane, SpanKind kind, std::uint64_t t0_ns,
-                      std::uint64_t t1_ns) = 0;
-};
-
 class ThreadPool {
  public:
   /// `workers` worker threads in addition to the calling thread;
@@ -88,41 +67,10 @@ class ThreadPool {
                             const std::function<void(std::size_t)>& body,
                             std::size_t grain = 0);
 
-  /// Attach (or detach, with nullptr) the telemetry observer.  Borrowed,
-  /// not owned.  Not synchronised: set it while no parallel_for_dynamic or
-  /// submitted task is in flight, and only from the owning thread.
-  void set_observer(PoolObserver* obs) noexcept { observer_ = obs; }
-  [[nodiscard]] PoolObserver* observer() const noexcept { return observer_; }
-
-  /// Steady-clock nanoseconds on the epoch PoolObserver spans use.
-  [[nodiscard]] static std::uint64_t now_ns() noexcept;
-
-  /// Enqueue one independent task; returns a future for its result.  With
-  /// an observer attached the task is timed and reported as a kTask span.
+  /// Enqueue one independent task; returns a future for its result.
   template <typename Fn>
   auto submit(Fn&& fn) -> std::future<std::invoke_result_t<Fn>> {
     using R = std::invoke_result_t<Fn>;
-    if (observer_ != nullptr) {
-      return submit_impl<R>([this, fn = std::forward<Fn>(fn)]() mutable -> R {
-        const std::uint64_t t0 = now_ns();
-        if constexpr (std::is_void_v<R>) {
-          fn();
-          note_span(PoolObserver::SpanKind::kTask, t0, now_ns());
-        } else {
-          R r = fn();
-          note_span(PoolObserver::SpanKind::kTask, t0, now_ns());
-          return r;
-        }
-      });
-    }
-    return submit_impl<R>(std::forward<Fn>(fn));
-  }
-
- private:
-  struct DynJob;
-
-  template <typename R, typename Fn>
-  std::future<R> submit_impl(Fn&& fn) {
     auto task = std::make_shared<std::packaged_task<R()>>(std::forward<Fn>(fn));
     std::future<R> fut = task->get_future();
     if (workers_.empty()) {
@@ -137,17 +85,16 @@ class ThreadPool {
     return fut;
   }
 
-  void worker_loop(std::size_t lane);
-  /// Forward a span to the observer, stamping the calling thread's lane.
-  void note_span(PoolObserver::SpanKind kind, std::uint64_t t0_ns,
-                 std::uint64_t t1_ns) const;
+ private:
+  struct DynJob;
+
+  void worker_loop();
 
   std::vector<std::thread> workers_;
   std::mutex mu_;
   std::condition_variable cv_;
   std::queue<std::function<void()>> queue_;
   bool stop_ = false;
-  PoolObserver* observer_ = nullptr;
 };
 
 }  // namespace sysdp::sim

@@ -14,7 +14,6 @@
 #include "arrays/design1_modular.hpp"
 #include "arrays/design2_modular.hpp"
 #include "arrays/design3_modular.hpp"
-#include "arrays/gkt_modular.hpp"
 #include "arrays/triangular_array.hpp"
 #include "arrays/triangular_modular.hpp"
 #include "compile/batch_engine.hpp"
@@ -26,6 +25,12 @@
 
 namespace sysdp {
 namespace {
+
+// The GKT matrix-chain triangle: the chain rule on the triangular array.
+TriangularModularArray<ChainRule> chain_triangle(
+    const std::vector<Cost>& dims) {
+  return TriangularModularArray<ChainRule>(ChainRule(dims), dims.size() - 1);
+}
 
 std::pair<std::vector<Matrix<Cost>>, std::vector<Cost>> string_instance(
     std::size_t q, std::size_t m, std::uint64_t seed) {
@@ -170,12 +175,13 @@ TEST(CompiledBackend, GktTapeReplaysBitIdentically) {
     Rng rng(500 + n);
     const auto dims = random_chain_dims(n, rng);
 
-    GktModularArray oracle_arr(dims);
+    auto oracle_arr = chain_triangle(dims);
     const auto interpreted = oracle_arr.run(sim::Gating::kDense);
 
-    GktModularArray arr(dims);
+    auto arr = chain_triangle(dims);
     const auto low = compile::lower_array(arr);
     EXPECT_EQ(low.net.num_ops(), interpreted.stats.busy_steps);
+    EXPECT_EQ(low.oracle_cycles, interpreted.stats.cycles);
 
     compile::CompiledEngine ce(low.net);
     EXPECT_FALSE(ce.run_all_checked().found);
@@ -283,8 +289,7 @@ TEST(CompiledBackend, RunSkipsEmptyLevelsViaSkipList) {
   // The GKT triangle's staged wavefront leaves empty dependency levels
   // between diagonals — exactly what the skip-list exists to bypass.
   Rng rng(4242);
-  const auto dims = random_chain_dims(9, rng);
-  GktModularArray arr(dims);
+  auto arr = chain_triangle(random_chain_dims(9, rng));
   const auto low = compile::lower_array(arr);
   std::uint64_t empty_levels = 0;
   for (std::size_t t = 0; t + 1 < low.net.cycle_off.size(); ++t) {

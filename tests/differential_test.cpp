@@ -19,7 +19,6 @@
 #include "arrays/design3_feedback.hpp"
 #include "arrays/design3_modular.hpp"
 #include "arrays/gkt_array.hpp"
-#include "arrays/gkt_modular.hpp"
 #include "arrays/graph_adapter.hpp"
 #include "arrays/triangular_array.hpp"
 #include "arrays/triangular_modular.hpp"
@@ -38,6 +37,12 @@
 
 namespace sysdp {
 namespace {
+
+// The GKT matrix-chain triangle: the chain rule on the triangular array.
+TriangularModularArray<ChainRule> chain_triangle(
+    const std::vector<Cost>& dims) {
+  return TriangularModularArray<ChainRule>(ChainRule(dims), dims.size() - 1);
+}
 
 class MultistageDifferential : public ::testing::TestWithParam<int> {};
 
@@ -306,12 +311,12 @@ TEST(CompiledDifferential, GktAllEngineConfigs) {
   Rng rng(344);
   const std::size_t n = 9;
   const auto dims = random_chain_dims(n, rng);
-  const auto low = lower_checked([&] { return GktModularArray(dims); });
+  const auto low = lower_checked([&] { return chain_triangle(dims); });
   compile::CompiledEngine ce(low.net);
   ce.run_all();
   for (const sim::Gating gating : kEngineConfigs) {
     SCOPED_TRACE("sparse=" + std::to_string(gating == sim::Gating::kSparse));
-    GktModularArray arr(dims);
+    auto arr = chain_triangle(dims);
     const auto res = arr.run(gating);
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = i + 1; j < n; ++j) {
@@ -411,10 +416,10 @@ TEST_P(CompiledFuzzDifferential, RandomInstanceReplaysBitIdentically) {
       const std::size_t n = n_dist(rng);
       const auto dims = random_chain_dims(n, rng);
       const auto low =
-          lower_checked([&] { return GktModularArray(dims); });
+          lower_checked([&] { return chain_triangle(dims); });
       compile::CompiledEngine ce(low.net);
       ce.run_all();
-      GktModularArray arr(dims);
+      auto arr = chain_triangle(dims);
       const auto res = arr.run(gating);
       for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t j = i + 1; j < n; ++j) {
@@ -630,7 +635,7 @@ TEST(CompiledBatchDifferential, GktLaneExactAcrossWidths) {
   Rng rng(441);
   const std::size_t n = 9;
   const auto dims = random_chain_dims(n, rng);
-  GktModularArray arr(dims);
+  auto arr = chain_triangle(dims);
   compile::LowerOptions opt;
   opt.parameterise = true;
   const auto low = compile::lower_array(arr, opt);
@@ -643,7 +648,7 @@ TEST(CompiledBatchDifferential, GktLaneExactAcrossWidths) {
     }
     auto vdims = random_chain_dims(n, rng);
     tables.push_back(variant_params(
-        low.net, [&] { return GktModularArray(vdims); }));
+        low.net, [&] { return chain_triangle(vdims); }));
   }
   for (const std::uint32_t lanes : kBatchWidths) {
     SCOPED_TRACE("lanes=" + std::to_string(lanes));
@@ -653,10 +658,11 @@ TEST(CompiledBatchDifferential, GktLaneExactAcrossWidths) {
 }
 
 TEST(CompiledBatchDifferential, TriangularLaneExactAcrossWidths) {
-  // The chain rule's costs enter the tape only as fold weights, so it
-  // rebind-sweeps like GKT.  (BST is different: its leaf cells' initial
-  // values are the frequencies themselves — interned constants, not
-  // parameters — so BST lanes replay the oracle binding below.)
+  // The chain rule's costs enter the tape only as fold weights, so any
+  // same-size instance rebinds the one lowering.  (BST is different: its
+  // leaf cells' initial values are the frequencies themselves — interned
+  // constants, not parameters — so BST lanes replay the oracle binding
+  // below.)
   Rng rng(451);
   const std::size_t n = 9;
   std::uniform_int_distribution<Cost> dist(1, 20);
@@ -757,11 +763,11 @@ TEST_P(CompiledRebindFuzz, ReboundTapeMatchesFreshLowering) {
       std::uniform_int_distribution<std::size_t> n_dist(2, 12);
       const std::size_t n = n_dist(rng);
       const auto dims = random_chain_dims(n, rng);
-      GktModularArray arr(dims);
+      auto arr = chain_triangle(dims);
       base = compile::lower_array(arr, opt);
       auto vdims = random_chain_dims(n, rng);
       variant_net = variant_lowered(
-          base.net, [&] { return GktModularArray(vdims); });
+          base.net, [&] { return chain_triangle(vdims); });
       break;
     }
     default: {

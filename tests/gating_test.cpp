@@ -5,8 +5,8 @@
 // that can reactivate a sleeping module is covered by a wakeup edge, so a
 // gated run visits a superset of the "useful" evals of a dense run and
 // nothing else observable.  These tests pin that contract down for the
-// engine-backed arrays (Designs 1-3 and the modular GKT cells), pin the
-// modular GKT array cycle-exactly to its monolithic RTL reference, and
+// engine-backed arrays (Designs 1-3 and the GKT chain triangle), pin the
+// chain triangle cycle-exactly to the monolithic GKT RTL reference, and
 // cross-check the engine's measured activity counter against the paper's
 // processor-utilisation analysis.
 #include <gtest/gtest.h>
@@ -21,16 +21,23 @@
 #include "arrays/design2_modular.hpp"
 #include "arrays/design3_modular.hpp"
 #include "arrays/gkt_array.hpp"
-#include "arrays/gkt_modular.hpp"
 #include "arrays/gkt_rtl.hpp"
 #include "arrays/graph_adapter.hpp"
 #include "arrays/paper_metrics.hpp"
+#include "arrays/triangular_array.hpp"
+#include "arrays/triangular_modular.hpp"
 #include "graph/generators.hpp"
 #include "sim/engine.hpp"
 #include "sim/module.hpp"
 
 namespace sysdp {
 namespace {
+
+// The GKT matrix-chain triangle: the chain rule on the triangular array.
+TriangularModularArray<ChainRule> chain_triangle(
+    const std::vector<Cost>& dims) {
+  return TriangularModularArray<ChainRule>(ChainRule(dims), dims.size() - 1);
+}
 
 template <typename T>
 void expect_same_matrix(const Matrix<T>& a, const Matrix<T>& b) {
@@ -114,29 +121,29 @@ TEST(ActivityGating, GktModularDenseVsSparseBitIdentical) {
   for (const std::size_t n : {2u, 3u, 5u, 9u, 17u, 24u}) {
     Rng rng(500 + n);
     const auto dims = random_chain_dims(n, rng);
-    GktModularArray arr(dims);
+    auto arr = chain_triangle(dims);
     const auto dense = arr.run(sim::Gating::kDense);
     const auto sparse = arr.run(sim::Gating::kSparse);
     SCOPED_TRACE("n=" + std::to_string(n));
     expect_same_matrix(dense.cost, sparse.cost);
     expect_same_matrix(dense.done, sparse.done);
     expect_identical(dense.stats, sparse.stats);
-    EXPECT_EQ(dense.peak_operand_buffer, sparse.peak_operand_buffer);
   }
 }
 
 // ------------------------------------------------ GKT differentials -------
 
-// The modular cell array must be cycle-exact against the monolithic RTL
-// sweep: same cost table, same per-cell completion cycles, same busy work
-// and the same operand-buffer peak — in both gating modes.
+// The engine-backed chain triangle must be cycle-exact against the
+// monolithic GKT RTL sweep: same cost table, same per-cell completion
+// cycles, same busy work and the same cycle count, in both gating modes.
+// (The RTL model's operand-buffer peak is pinned in modular_test.)
 TEST(ActivityGating, GktModularMatchesRtlCycleExactly) {
   for (std::size_t n = 1; n <= 20; ++n) {
     Rng rng(900 + n);
     const auto dims = random_chain_dims(n, rng);
     const auto rtl = GktRtlArray(dims).run();
-    GktModularArray mod(dims);
-    const GktModularArray::Result runs[] = {
+    auto mod = chain_triangle(dims);
+    const TriangularModularCore::Result runs[] = {
         mod.run(sim::Gating::kDense),
         mod.run(sim::Gating::kSparse),
     };
@@ -146,20 +153,19 @@ TEST(ActivityGating, GktModularMatchesRtlCycleExactly) {
       expect_same_matrix(rtl.done, r.done);
       EXPECT_EQ(rtl.stats.cycles, r.stats.cycles);
       EXPECT_EQ(rtl.stats.busy_steps, r.stats.busy_steps);
-      EXPECT_EQ(rtl.peak_operand_buffer, r.peak_operand_buffer);
     }
   }
 }
 
-// The triangular family's closed-form dataflow model (GktArray) computes
-// the same chain-product costs; the gated cell array must agree on the
-// final parenthesisation cost for every chain length.
+// The closed-form GKT dataflow model (GktArray) computes the same
+// chain-product costs; the gated cell array must agree on the final
+// parenthesisation cost for every chain length.
 TEST(ActivityGating, GktModularMatchesClosedFormTotals) {
   for (const std::size_t n : {2u, 4u, 8u, 16u, 32u}) {
     Rng rng(40 + n);
     const auto dims = random_chain_dims(n, rng);
     const auto closed = GktArray(dims).run();
-    GktModularArray mod(dims);
+    auto mod = chain_triangle(dims);
     const auto gated = mod.run(sim::Gating::kSparse);
     EXPECT_EQ(closed.total(), gated.total()) << "n=" << n;
   }
@@ -222,7 +228,7 @@ TEST(ActivityGating, EngineActivityTracksPaperPuDesign2) {
 TEST(ActivityGating, GktActivityReflectsWavefrontSparsity) {
   Rng rng(2024);
   const auto dims = random_chain_dims(32, rng);
-  GktModularArray mod(dims);
+  auto mod = chain_triangle(dims);
   const auto r = mod.run(sim::Gating::kSparse);
   EXPECT_GT(r.stats.dense_evals, 0u);
   EXPECT_LT(r.stats.engine_activity(), 0.6);
@@ -303,7 +309,7 @@ TEST(ActivityGating, DenseFallbackEngagesOnBroadcastArrayOnly) {
 
   Rng rng(77);
   const auto dims = random_chain_dims(24, rng);
-  GktModularArray gkt(dims);
+  auto gkt = chain_triangle(dims);
   sim::Engine wave_eng(sim::Gating::kSparse);
   (void)gkt.run(wave_eng);
   EXPECT_FALSE(wave_eng.dense_fallback());

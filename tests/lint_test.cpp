@@ -18,7 +18,6 @@
 #include "arrays/design1_modular.hpp"
 #include "arrays/design2_modular.hpp"
 #include "arrays/design3_modular.hpp"
-#include "arrays/gkt_modular.hpp"
 #include "arrays/triangular_array.hpp"
 #include "arrays/triangular_modular.hpp"
 #include "graph/generators.hpp"
@@ -318,11 +317,6 @@ TEST(LintModels, Design3Clean) {
   expect_clean(lint_array(arr, "design3"));
 }
 
-TEST(LintModels, GktClean) {
-  GktModularArray arr({5, 3, 8, 2, 6});
-  expect_clean(lint_array(arr, "gkt"));
-}
-
 TEST(LintModels, TriangularFamilyClean) {
   TriangularModularArray<BstRule> bst(BstRule({3, 1, 4, 1, 5}), 5);
   expect_clean(lint_array(bst, "triangular-bst"));
@@ -370,7 +364,7 @@ TEST(LintAblation, EveryDesign1EdgeIsEssential) {
 }
 
 TEST(LintAblation, EveryGktEdgeIsEssential) {
-  GktModularArray arr({5, 3, 8, 2, 6, 4});
+  TriangularModularArray<ChainRule> arr(ChainRule({5, 3, 8, 2, 6, 4}), 5);
   sim::Engine engine(sim::Gating::kSparse);
   const auto net = capture_array(arr, engine);
   ASSERT_GT(net.wakeups.size(), 0u);

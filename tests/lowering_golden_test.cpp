@@ -1,7 +1,7 @@
 // Golden all-field tape digests for the matrix-string and multistage
-// lowerings: Design 1, Design 2, Design 3 and the GKT matrix-chain
-// triangle, each at two sizes x optimizer level {0, 2} x parameter plane
-// {off, on}.  (The triangular family's goldens live in
+// lowerings: Design 1, Design 2 and Design 3, each at two sizes x
+// optimizer level {0, 2} x parameter plane {off, on}.  (The triangular
+// family's goldens, the GKT matrix-chain triangle included, live in
 // triangular_modular_test.cpp.)  How the recorder, the optimizer and the
 // compactor organise their work may change; the tapes they emit may not,
 // byte for byte.
@@ -15,7 +15,6 @@
 #include "arrays/design1_modular.hpp"
 #include "arrays/design2_modular.hpp"
 #include "arrays/design3_modular.hpp"
-#include "arrays/gkt_modular.hpp"
 #include "compile/lower.hpp"
 #include "graph/node_value_graph.hpp"
 #include "semiring/matrix.hpp"
@@ -79,7 +78,7 @@ struct Golden {
 
 // Lower `family` at `size` under `opt`.  Sizes: Design 1/2 run q = size
 // matrices of width m = size + 1 with a 2-row leftmost one; Design 3 runs
-// `size` stages of width size - 2; GKT multiplies `size` matrices.
+// `size` stages of width size - 2.
 std::uint64_t lowered_digest(const std::string& family, std::size_t size,
                              const compile::LowerOptions& opt) {
   if (family == "design1") {
@@ -92,12 +91,8 @@ std::uint64_t lowered_digest(const std::string& family, std::size_t size,
                        xorshift_costs(size + 1, size + 1, 0, 50));
     return golden::tape_digest(compile::lower_array(arr, opt).net);
   }
-  if (family == "design3") {
-    const NodeValueGraph graph = node_values(size, size - 2, 7 * size);
-    Design3Modular arr(graph);
-    return golden::tape_digest(compile::lower_array(arr, opt).net);
-  }
-  GktModularArray arr(xorshift_costs(size + 1, 11 * size, 1, 30));
+  const NodeValueGraph graph = node_values(size, size - 2, 7 * size);
+  Design3Modular arr(graph);
   return golden::tape_digest(compile::lower_array(arr, opt).net);
 }
 
@@ -148,19 +143,6 @@ TEST(LoweringGolden, Design3TapesMatchGoldenDigests) {
       {"design3", 9, 0, true, 0x33f1b6252c629517ull},
       {"design3", 9, 2, false, 0x9ecda9f94237eecdull},
       {"design3", 9, 2, true, 0xe6485a84be1457c2ull},
-  });
-}
-
-TEST(LoweringGolden, GktTapesMatchGoldenDigests) {
-  expect_goldens({
-      {"gkt", 6, 0, false, 0x9391ed78a0d6abffull},
-      {"gkt", 6, 0, true, 0xaffa372a9862ee8bull},
-      {"gkt", 6, 2, false, 0xadfb4cedebc87b7eull},
-      {"gkt", 6, 2, true, 0x66c4256d61b46ffaull},
-      {"gkt", 20, 0, false, 0xfe096d17487907a5ull},
-      {"gkt", 20, 0, true, 0x25315d4dc6260f09ull},
-      {"gkt", 20, 2, false, 0x6ffe19f0bd6729f2ull},
-      {"gkt", 20, 2, true, 0x24939913e4f038feull},
   });
 }
 

@@ -16,7 +16,6 @@
 
 #include "analysis/netlist.hpp"
 #include "arrays/design1_modular.hpp"
-#include "arrays/gkt_modular.hpp"
 #include "arrays/triangular_array.hpp"
 #include "arrays/triangular_modular.hpp"
 #include "compile/lower.hpp"
@@ -274,7 +273,7 @@ TEST(ProvenanceResolve, GktMatchesReference) {
       for (std::size_t i = 0; i <= m; ++i) {
         dims[i] = static_cast<Cost>(2 + (i * 7) % 9);
       }
-      return GktModularArray(dims);
+      return TriangularModularArray<ChainRule>(ChainRule(dims), m);
     });
   }
 }

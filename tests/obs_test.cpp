@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -36,7 +35,6 @@
 #include "sim/module.hpp"
 #include "sim/port.hpp"
 #include "sim/stats.hpp"
-#include "sim/thread_pool.hpp"
 #include "sim/trace.hpp"
 
 namespace sysdp {
@@ -722,31 +720,6 @@ TEST(ChromeTraceTest, TimelineCountersMatchBuckets) {
   EXPECT_EQ(trace.size(), 1u + 3u * 3u);
   EXPECT_TRUE(balanced_json(trace.str()));
   EXPECT_NE(trace.str().find("\"busy_total\""), std::string::npos);
-}
-
-TEST(ChromeTraceTest, PoolRecorderCapturesHostSpans) {
-  sim::ThreadPool pool(2);
-  obs::PoolTraceRecorder recorder;
-  pool.set_observer(&recorder);
-  std::atomic<int> hits{0};
-  pool.parallel_for_dynamic(16, [&hits](std::size_t) { ++hits; });
-  pool.set_observer(nullptr);
-  EXPECT_EQ(hits.load(), 16);
-
-  const auto spans = recorder.spans();
-  ASSERT_FALSE(spans.empty());
-  bool saw_chunk = false;
-  for (const auto& s : spans) {
-    EXPECT_LE(s.t0_ns, s.t1_ns);
-    EXPECT_LT(s.lane, pool.num_lanes());
-    saw_chunk = saw_chunk || s.kind == sim::PoolObserver::SpanKind::kChunk;
-  }
-  EXPECT_TRUE(saw_chunk);
-
-  obs::ChromeTraceWriter trace;
-  obs::append_pool_trace(trace, recorder, 3);
-  EXPECT_GE(trace.size(), spans.size());
-  EXPECT_TRUE(balanced_json(trace.str()));
 }
 
 // ---------------------------------------------------------------------------

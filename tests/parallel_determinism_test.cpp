@@ -14,8 +14,8 @@
 
 #include "arrays/design1_modular.hpp"
 #include "arrays/gkt_array.hpp"
-#include "arrays/gkt_modular.hpp"
 #include "arrays/triangular_array.hpp"
+#include "arrays/triangular_modular.hpp"
 #include "graph/generators.hpp"
 #include "obs/timeline.hpp"
 #include "obs/vcd.hpp"
@@ -86,12 +86,12 @@ TEST(ParallelDeterminism, Design1TelemetryBitIdenticalAcrossModes) {
 
 TEST(ParallelDeterminism, GktModularTelemetryBitIdenticalAcrossModes) {
   Rng rng(308);
-  const auto dims = random_chain_dims(8, rng);
-  GktModularArray ref_arr(dims);
+  const ChainRule rule(random_chain_dims(8, rng));
+  TriangularModularArray<ChainRule> ref_arr(rule, rule.num_matrices());
   const auto ref = capture_telemetry(ref_arr, sim::Gating::kDense);
   ASSERT_FALSE(ref.vcd.empty());
   for (const sim::Gating gating : kGatings) {
-    GktModularArray arr(dims);
+    TriangularModularArray<ChainRule> arr(rule, rule.num_matrices());
     const auto doc = capture_telemetry(arr, gating);
     SCOPED_TRACE("sparse=" + std::to_string(gating == sim::Gating::kSparse));
     EXPECT_EQ(ref.vcd, doc.vcd);

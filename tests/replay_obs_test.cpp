@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "arrays/design1_modular.hpp"
-#include "arrays/gkt_modular.hpp"
 #include "arrays/triangular_array.hpp"
 #include "arrays/triangular_modular.hpp"
 #include "analysis/tape_verify.hpp"
@@ -134,11 +133,12 @@ TEST(ReplayProvenance, LoweredDesignsCarryVerifiedProvenance) {
   check(lower_design1(3, 6, 42), "design1", true);
   {
     Rng rng(7);
-    const auto dims = random_chain_dims(5, rng);
-    GktModularArray arr(dims);
-    // GKT narrates arena cost lanes; describe_ports declares link flits —
-    // no lane resolves to a name, and that is the documented contract.
-    check(compile::lower_array(arr), "gkt", false);
+    const ChainRule rule(random_chain_dims(5, rng));
+    TriangularModularArray<ChainRule> arr(rule, rule.num_matrices());
+    // The chain triangle narrates arena cost lanes; describe_ports
+    // declares link flits — no lane resolves to a name, and that is the
+    // documented contract.
+    check(compile::lower_array(arr), "triangular-chain", false);
   }
   {
     std::vector<Cost> costs{3, 1, 4, 1, 5, 9};
@@ -245,8 +245,8 @@ TEST(ReplayTimeline, AggregateEqualsOpsExecuted) {
 
 TEST(ReplayTimeline, UnattributedOpsLandOnTheirOwnRow) {
   Rng rng(7);
-  const auto dims = random_chain_dims(4, rng);
-  GktModularArray arr(dims);
+  const ChainRule rule(random_chain_dims(4, rng));
+  TriangularModularArray<ChainRule> arr(rule, rule.num_matrices());
   const auto low = compile::lower_array(arr);
 
   compile::CompiledEngine ce(low.net);
@@ -255,8 +255,8 @@ TEST(ReplayTimeline, UnattributedOpsLandOnTheirOwnRow) {
   ce.run_all();
   timeline.finalize();
 
-  // Every GKT op is unattributed (no named lanes), so the sink adds the
-  // single "(unattributed)" row and the aggregate still balances.
+  // Every chain-triangle op is unattributed (no named lanes), so the sink
+  // adds the single "(unattributed)" row and the aggregate still balances.
   EXPECT_EQ(timeline.pe_names().back(), "(unattributed)");
   EXPECT_EQ(timeline.aggregate_busy(), ce.result().ops_executed);
 }

@@ -17,7 +17,6 @@
 
 #include "../examples/design_registry.hpp"
 #include "analysis/tape_verify.hpp"
-#include "arrays/gkt_modular.hpp"
 #include "compile/lower.hpp"
 #include "compile/program.hpp"
 #include "graph/generators.hpp"
@@ -804,14 +803,14 @@ TEST(TapeVerifyRegistry, AllDesignsAllVariantsVerifyClean) {
 
 // ---------------------------------------------------------------------
 // The headline certification: the largest bench_all instance (the GKT
-// chain array at n=96, same seed as the gkt_modular_n96 bench entries)
+// chain array at n=96, same seed as the chain_modular_n96 bench entries)
 // provably keeps every reachable value — including intermediates — inside
 // int32, so the narrow-lane SIMD kernels are lossless for it.
 
 TEST(TapeVerifyCertification, GktN96TapeIsInt32Safe) {
-  Rng rng(96096);  // bench_all's gkt_modular_n96 instance
-  const auto dims = random_chain_dims(96, rng);
-  GktModularArray arr(dims);
+  Rng rng(96096);  // bench_all's chain_modular_n96 instance
+  const ChainRule rule(random_chain_dims(96, rng));
+  TriangularModularArray<ChainRule> arr(rule, rule.num_matrices());
   const auto low = compile::lower_array(arr);
   const auto rep = analysis::verify_tape(low.net, "gkt_n96");
   EXPECT_EQ(rep.errors(), 0u) << rep.to_text();
