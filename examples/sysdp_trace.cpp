@@ -17,8 +17,11 @@
 //
 // The tool cross-checks its own telemetry before writing: the timeline's
 // aggregate busy count must equal the run's busy_steps (the observer saw
-// every unit of work the array accounted), and where the timeline observed
-// the full run its utilisation must equal the array's wall utilisation.
+// every unit of work the array accounted); the cycles the timeline saw
+// must exceed the run's reported cycles by exactly the design's trailing
+// cycles (0, or 1 for the triangles, which report the root's completion
+// cycle and step through it), recorded as run.cycle_excess; and the
+// timeline's utilisation must equal the array's over that stepped window.
 // Any mismatch is a telemetry bug and exits nonzero.
 //
 // --engine compiled switches the capture to the compiled flat-tape
@@ -38,7 +41,8 @@
 // with the same cross-checks as the interpreted path: the provenance
 // timeline's aggregate busy count must equal the replay's ops_executed,
 // and the profiler's per-level op counts must equal the tape's own CSR
-// level sizes.
+// level sizes.  A tape with no named lane, or a VCD with no signal, also
+// fails: every registered design names its lanes.
 //
 // --opt=0|1|2 (compiled engine only) lowers every matching design through
 // the tape optimizer pipeline at that level, so the artifacts describe
@@ -192,6 +196,18 @@ bool trace_design_compiled(const examples::DesignSpec& spec,
       return false;
     }
   }
+  // Every registered design declares its lanes' names, so the waveform
+  // has signals to show.
+  if (low.net.stats.named_lanes == 0 || vcd.num_signals() == 0) {
+    std::fprintf(stderr,
+                 "sysdp_trace: %s: tape names %llu of %llu lanes and its "
+                 "VCD has %zu signals\n",
+                 spec.name.c_str(),
+                 static_cast<unsigned long long>(low.net.stats.named_lanes),
+                 static_cast<unsigned long long>(low.net.stats.lanes_bound),
+                 vcd.num_signals());
+    return false;
+  }
   // Cross-check: every executed op landed in exactly one timeline row.
   rtimeline.finalize();
   const compile::ReplayResult rres = replay.result();
@@ -300,19 +316,33 @@ bool trace_design(const examples::DesignSpec& spec, const Options& opt) {
                  static_cast<unsigned long long>(stats.busy_steps));
     return false;
   }
-  // Where the timeline observed exactly the accounted wall-clock window,
-  // the utilisations must match too (run_until designs may step a few
-  // cycles past the completion cycle the stats report).
-  if (timeline.cycles() == stats.cycles && timeline.num_pes() == stats.num_pes &&
-      timeline.utilization() != stats.utilization_wall()) {
+  // The timeline sees every cycle the engine stepped; the array reports
+  // its latency, which the triangles count to the root's completion
+  // cycle, one before the last cycle stepped.
+  if (timeline.cycles() != stats.cycles + spec.trailing_cycles) {
+    std::fprintf(stderr,
+                 "sysdp_trace: %s: timeline saw %llu cycles, the run reports "
+                 "%llu (expected %llu more)\n",
+                 spec.name.c_str(),
+                 static_cast<unsigned long long>(timeline.cycles()),
+                 static_cast<unsigned long long>(stats.cycles),
+                 static_cast<unsigned long long>(spec.trailing_cycles));
+    return false;
+  }
+  const sim::Cycle cycle_excess = timeline.cycles() - stats.cycles;
+  // Over the window actually stepped, the utilisations must match.
+  const double stepped_utilization = stats.utilization_over(timeline.cycles());
+  if (timeline.num_pes() != stats.num_pes ||
+      timeline.utilization() != stepped_utilization) {
     std::fprintf(stderr, "sysdp_trace: %s: timeline utilization %f != %f\n",
                  spec.name.c_str(), timeline.utilization(),
-                 stats.utilization_wall());
+                 stepped_utilization);
     return false;
   }
 
   obs::MetricsRegistry metrics;
   metrics.set_counter("run.cycles", stats.cycles);
+  metrics.set_counter("run.cycle_excess", cycle_excess);
   metrics.set_counter("run.busy_steps", stats.busy_steps);
   metrics.set_counter("run.num_pes", stats.num_pes);
   metrics.set_counter("engine.active_evals", stats.active_evals);

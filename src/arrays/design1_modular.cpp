@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include "semiring/kernels.hpp"
 #include "sim/module.hpp"
@@ -18,6 +19,12 @@ struct Token {
   std::size_t q = 0;
   bool valid = false;
 };
+
+/// Port labels, shared by describe_ports and the recorder's lane names.
+constexpr const char* kInputLabel = "host.input";
+std::string rail_label(const char* rail, std::size_t p) {
+  return std::string(rail) + "[" + std::to_string(p) + "]";
+}
 
 }  // namespace
 
@@ -141,9 +148,13 @@ class Design1Modular::Host : public sim::Module {
   void describe_ports(sim::PortSet& ports) const override {
     // Token is a struct lane, so the probe is explicit: waveforms show the
     // fed value while a token is in flight and 0 between tokens.
-    ports.drives_signal(&input_, "host.input", [this]() -> std::int64_t {
+    ports.drives_signal(&input_, kInputLabel, [this]() -> std::int64_t {
       return input_.valid ? static_cast<std::int64_t>(input_.val) : 0;
     });
+  }
+  /// Names the narrated input lane as describe_ports does.
+  void declare_lanes(sim::OpRecorder& rec) const {
+    rec.declare_lane(&input_, name(), kInputLabel);
   }
 
  private:
@@ -295,18 +306,20 @@ class Design1Modular::Pe : public sim::Module {
   /// and ACC rails are banks of two-phase registers.
   void describe_ports(sim::PortSet& ports) const override {
     const std::size_t p = index_;
-    ports.writes_register(&a_.r.val[p], "r[" + std::to_string(p) + "]");
-    ports.writes_register(&a_.acc.val[p], "acc[" + std::to_string(p) + "]");
+    ports.writes_register(&a_.r.val[p], rail_label("r", p));
+    ports.writes_register(&a_.acc.val[p], rail_label("acc", p));
     if (p == 0) {
-      ports.reads_signal(&host_.input(), "host.input");
-      ports.reads_register(&a_.acc.val[m_ - 1],
-                           "acc[" + std::to_string(m_ - 1) + "]");
+      ports.reads_signal(&host_.input(), kInputLabel);
+      ports.reads_register(&a_.acc.val[m_ - 1], rail_label("acc", m_ - 1));
     } else {
-      ports.reads_register(&a_.r.val[p - 1],
-                           "r[" + std::to_string(p - 1) + "]");
-      ports.reads_register(&a_.acc.val[p - 1],
-                           "acc[" + std::to_string(p - 1) + "]");
+      ports.reads_register(&a_.r.val[p - 1], rail_label("r", p - 1));
+      ports.reads_register(&a_.acc.val[p - 1], rail_label("acc", p - 1));
     }
+  }
+  /// Names the two rails this PE writes as describe_ports does.
+  void declare_lanes(sim::OpRecorder& rec) const {
+    rec.declare_lane(&a_.r.val[index_], name(), rail_label("r", index_));
+    rec.declare_lane(&a_.acc.val[index_], name(), rail_label("acc", index_));
   }
 
  private:
@@ -346,11 +359,13 @@ void Design1Modular::elaborate(sim::Engine& engine) {
   host_ = std::make_unique<Host>(v_, m_, Q, r);
   host_->set_recorder(engine.recorder());
   engine.add(*host_);
+  if (arena_->rec != nullptr) host_->declare_lanes(*arena_->rec);
   pes_.clear();
   for (std::size_t p = 0; p < m_; ++p) {
     pes_.push_back(
         std::make_unique<Pe>(p, mats_, *host_, *arena_, stats_, m_));
     engine.add(*pes_.back());
+    if (arena_->rec != nullptr) pes_.back()->declare_lanes(*arena_->rec);
   }
   // Wakeup edges follow the register dataflow: the host feed starts P_0,
   // each PE's R/ACC rails feed its right neighbour, and the tail's ACC
@@ -366,18 +381,15 @@ void Design1Modular::describe_environment(sim::PortSet& ports) const {
   if (arena_ == nullptr) return;
   // Mode-B harvests sample the tail ACC lane each cycle; a mode-A finish
   // reads the final results in place across the first r lanes.
-  ports.reads_register(&arena_->acc.val[m_ - 1],
-                       "acc[" + std::to_string(m_ - 1) + "]");
+  ports.reads_register(&arena_->acc.val[m_ - 1], rail_label("acc", m_ - 1));
   if (mats_.size() % 2 == 1) {
     for (std::size_t p = 0; p < mats_.front().rows(); ++p) {
-      ports.reads_register(&arena_->acc.val[p],
-                           "acc[" + std::to_string(p) + "]");
+      ports.reads_register(&arena_->acc.val[p], rail_label("acc", p));
     }
   }
   // The tail R lane has no right neighbour; declare the architectural
   // tie-off so the pass-through writes don't read as dangling.
-  ports.reads_register(&arena_->r.val[m_ - 1],
-                       "r[" + std::to_string(m_ - 1) + "]");
+  ports.reads_register(&arena_->r.val[m_ - 1], rail_label("r", m_ - 1));
 }
 
 RunResult<Design1Modular::V> Design1Modular::run(sim::Gating gating) {

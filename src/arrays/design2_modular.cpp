@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include "semiring/kernels.hpp"
 #include "sim/record.hpp"
@@ -20,6 +21,11 @@ struct Phase {
 Phase decode(sim::Cycle c, std::size_t m) {
   return Phase{static_cast<std::size_t>(c) / m + 1,
                static_cast<std::size_t>(c) % m};
+}
+
+/// Port labels, shared by describe_ports and the recorder's lane names.
+std::string reg_label(const char* reg, std::size_t p) {
+  return std::string(reg) + "[" + std::to_string(p) + "]";
 }
 
 }  // namespace
@@ -74,8 +80,7 @@ class Design2Modular::FeedbackUnit : public sim::Module {
   void describe_ports(sim::PortSet& ports) const override {
     ports.drives(bus_, "bus");
     for (std::size_t p = 0; p < m_; ++p) {
-      ports.reads_register(&s_snapshot_[p],
-                           "s_snapshot[" + std::to_string(p) + "]");
+      ports.reads_register(&s_snapshot_[p], reg_label("s_snapshot", p));
       ports.derives(&bus_, &s_snapshot_[p]);
     }
   }
@@ -170,9 +175,18 @@ class Design2Modular::Pe : public sim::Module {
   void describe_ports(sim::PortSet& ports) const override {
     const std::size_t p = index_;
     ports.reads(bus_, "bus");
-    ports.writes_register(&a_.s[p], "s[" + std::to_string(p) + "]");
+    ports.writes_register(&a_.s[p], reg_label("s", p));
     ports.writes_register(&feedback_.s_snapshot_[p],
-                          "s_snapshot[" + std::to_string(p) + "]");
+                          reg_label("s_snapshot", p));
+  }
+  /// Names the S register and its feedback snapshot as describe_ports
+  /// does.  The accumulator is internal: no port, so its lane stays
+  /// unnamed.
+  void declare_lanes(sim::OpRecorder& rec) const {
+    const std::size_t p = index_;
+    rec.declare_lane(&a_.s[p], name(), reg_label("s", p));
+    rec.declare_lane(&feedback_.s_snapshot_[p], name(),
+                     reg_label("s_snapshot", p));
   }
 
   [[nodiscard]] V result() const { return a_.s[index_]; }
@@ -219,6 +233,7 @@ void Design2Modular::elaborate(sim::Engine& engine) {
     pes_.push_back(std::make_unique<Pe>(p, mats_, bus_, *feedback_, *arena_,
                                         stats_, m_));
     engine.add(*pes_.back());
+    if (arena_->rec != nullptr) pes_.back()->declare_lanes(*arena_->rec);
   }
 }
 
@@ -227,7 +242,7 @@ void Design2Modular::describe_environment(sim::PortSet& ports) const {
   // Result harvest reads the first final-matrix-rows S registers; the
   // remaining lanes are tied off (their PEs drain during the last multiply).
   for (std::size_t p = 0; p < m_; ++p) {
-    ports.reads_register(&arena_->s[p], "s[" + std::to_string(p) + "]");
+    ports.reads_register(&arena_->s[p], reg_label("s", p));
   }
 }
 

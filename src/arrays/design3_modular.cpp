@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include "semiring/kernels.hpp"
 #include "sim/module.hpp"
@@ -31,6 +32,13 @@ struct Pair {
   std::size_t stage = 0;
   bool valid = false;
 };
+
+/// Port labels, shared by describe_ports and the recorder's lane names.
+constexpr const char* kInFlightLabel = "in_flight";
+constexpr const char* kCollectorLabel = "collector";
+std::string r_label(std::size_t p) {
+  return "r[" + std::to_string(p) + "]";
+}
 
 }  // namespace
 
@@ -218,7 +226,7 @@ class Design3Modular::Controller : public sim::Module {
                                      ? static_cast<std::int64_t>(delivery_.h)
                                      : 0;
                         });
-    ports.reads_register(&in_flight_, "in_flight");
+    ports.reads_register(&in_flight_, kInFlightLabel);
     ports.derives(&delivery_, &in_flight_);
   }
 
@@ -340,23 +348,32 @@ class Design3Modular::Pe : public sim::Module {
   void describe_ports(sim::PortSet& ports) const override {
     const std::size_t p = index_;
     ports.reads_signal(&ctrl_.delivery(), "ctrl.delivery");
-    ports.writes_register(&a_.r_x[p], "r[" + std::to_string(p) + "]");
+    ports.writes_register(&a_.r_x[p], r_label(p));
     if (p == 0) {
       ports.reads_signal(&ctrl_.input(), "ctrl.input");
     } else {
-      ports.reads_register(&a_.r_x[p - 1],
-                           "r[" + std::to_string(p - 1) + "]");
+      ports.reads_register(&a_.r_x[p - 1], r_label(p - 1));
     }
     if (is_tail_) {
       // capture(): staged write of the controller's in-flight pair (a
       // two-phase register latched at the controller's commit) plus the
       // harvest-only collector token and predecessor table.
-      ports.writes_register(ctrl_.in_flight_key(), "in_flight",
+      ports.writes_register(ctrl_.in_flight_key(), kInFlightLabel,
                             [c = &ctrl_] { return c->in_flight_probe(); });
-      ports.writes_register(ctrl_.collector_key(), "collector",
+      ports.writes_register(ctrl_.collector_key(), kCollectorLabel,
                             [c = &ctrl_] { return c->collector_probe(); });
       ports.writes_register(ctrl_.pred_key(), "pred",
                             [c = &ctrl_] { return c->pred_probe(); });
+    }
+  }
+  /// Names the narrated registers this PE writes as describe_ports does:
+  /// the R rail lane, and on the tail the in-flight pair and collector.
+  /// The K/H registers have no port, so their lanes stay unnamed.
+  void declare_lanes(sim::OpRecorder& rec) const {
+    rec.declare_lane(&a_.r_x[index_], name(), r_label(index_));
+    if (is_tail_) {
+      rec.declare_lane(ctrl_.in_flight_key(), name(), kInFlightLabel);
+      rec.declare_lane(ctrl_.collector_key(), name(), kCollectorLabel);
     }
   }
 
@@ -398,6 +415,7 @@ void Design3Modular::elaborate(sim::Engine& engine) {
     pes_.push_back(std::make_unique<Pe>(p, graph_, *controller_, *arena_,
                                         p + 1 == m_, stats_, n_stages_));
     engine.add(*pes_.back());
+    if (arena_->rec != nullptr) pes_.back()->declare_lanes(*arena_->rec);
   }
   // Wakeup edges follow the register dataflow.  The R pipeline:
   // controller -> P_0 and P_{p-1} -> P_p.  The feedback path: the tail
@@ -421,12 +439,11 @@ void Design3Modular::elaborate(sim::Engine& engine) {
 
 void Design3Modular::describe_environment(sim::PortSet& ports) const {
   if (controller_ == nullptr) return;
-  ports.reads_register(controller_->collector_key(), "collector");
+  ports.reads_register(controller_->collector_key(), kCollectorLabel);
   ports.reads_register(controller_->pred_key(), "pred");
   // The tail's R lane has no right neighbour (the hand-off to the feedback
   // path is the staged capture, not this register): architectural tie-off.
-  ports.reads_register(&arena_->r_x[m_ - 1],
-                       "r[" + std::to_string(m_ - 1) + "]");
+  ports.reads_register(&arena_->r_x[m_ - 1], r_label(m_ - 1));
 }
 
 Design3Result Design3Modular::run(sim::Gating gating) {

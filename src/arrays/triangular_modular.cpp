@@ -1,7 +1,9 @@
 #include "arrays/triangular_modular.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <string>
+#include <string_view>
 
 #include "semiring/kernels.hpp"
 #include "sim/module.hpp"
@@ -39,6 +41,21 @@ struct CellMeta {
   std::uint8_t is_done = 0;
   std::uint8_t fired = 0;  ///< launch already sent (diagonals at cycle 0)
 };
+
+/// Port label `base[i,j]`, shared by describe_ports and the recorder's
+/// lane names.  Built in one buffer: lowering names every cell, so this
+/// runs n(n+1)/2 times per lowered triangle.
+std::string port_label(std::string_view base, std::size_t i, std::size_t j) {
+  char idx[2 * 20 + 2];  // "<i>,<j>]" with 20-digit indices
+  char* p = std::to_chars(idx, idx + 20, i).ptr;
+  *p++ = ',';
+  p = std::to_chars(p, p + 20, j).ptr;
+  *p++ = ']';
+  std::string out;
+  out.reserve(base.size() + 1 + static_cast<std::size_t>(p - idx));
+  out.append(base).append(1, '[').append(idx, p);
+  return out;
+}
 
 }  // namespace
 
@@ -303,28 +320,26 @@ class TriangularModularCore::Cell : public sim::Module {
     return i_ == j_ ? sim::SleepMode::kRetire : sim::SleepMode::kWakeable;
   }
 
-  /// Keys are the link registers and launch slots, with the leaf tie-off
-  /// convention: a diagonal never writes its own links, so downstream
-  /// cells do not declare reads of diagonal links.
+  /// Keys are the cell's value m(i, j), the link registers and launch
+  /// slots, with the leaf tie-off convention: a diagonal never writes its
+  /// own links, so downstream cells do not declare reads of diagonal
+  /// links.
   void describe_ports(sim::PortSet& ports) const override {
     const Arena& a = a_;
-    const auto slot = [](const char* base, std::size_t i, std::size_t j) {
-      return std::string(base) + "[" + std::to_string(i) + "," +
-             std::to_string(j) + "]";
-    };
+    ports.writes_register(&a.meta[id_].best, port_label("cell", i_, j_));
     // Flit lanes are structs, so the port layer cannot infer a sampler;
     // probe the carried cost when a flit is present, 0 when the link is
     // empty (telemetry only — occupancy is the interesting waveform).
     const LinkPair* const lk = &a.link[id_];
     if (i_ != j_) {
-      ports.writes_register(&lk->row_cur, slot("row", i_, j_),
+      ports.writes_register(&lk->row_cur, port_label("row", i_, j_),
                             [lk]() -> std::int64_t {
                               return lk->row_has != 0
                                          ? static_cast<std::int64_t>(
                                                lk->row_cur.val)
                                          : 0;
                             });
-      ports.writes_register(&lk->col_cur, slot("col", i_, j_),
+      ports.writes_register(&lk->col_cur, port_label("col", i_, j_),
                             [lk]() -> std::int64_t {
                               return lk->col_has != 0
                                          ? static_cast<std::int64_t>(
@@ -336,15 +351,18 @@ class TriangularModularCore::Cell : public sim::Module {
       // stays architecturally empty and declaring the read would be a
       // dangling port.
       if (a.launches(i_, j_ - 1)) {
-        ports.reads_register(&a.row_launch[id_], slot("row_launch", i_, j_));
+        ports.reads_register(&a.row_launch[id_],
+                             port_label("row_launch", i_, j_));
       }
       if (a.launches(i_ + 1, j_)) {
-        ports.reads_register(&a.col_launch[id_], slot("col_launch", i_, j_));
+        ports.reads_register(&a.col_launch[id_],
+                             port_label("col_launch", i_, j_));
       }
       if (j_ > i_ + 1) {  // upstreams are real cells, not diagonals
-        ports.reads_register(&a.link[left_].row_cur, slot("row", i_, j_ - 1));
+        ports.reads_register(&a.link[left_].row_cur,
+                             port_label("row", i_, j_ - 1));
         ports.reads_register(&a.link[below_].col_cur,
-                             slot("col", i_ + 1, j_));
+                             port_label("col", i_ + 1, j_));
       }
     }
     // Completion launch targets (trivially-solved cells never launch).
@@ -353,7 +371,7 @@ class TriangularModularCore::Cell : public sim::Module {
         const std::uint32_t t = a.id(i_, j_ + 1);
         const Flit* const f = &a.row_launch[t];
         const std::uint8_t* const set = &a.row_launch_set[t];
-        ports.writes_register(f, slot("row_launch", i_, j_ + 1),
+        ports.writes_register(f, port_label("row_launch", i_, j_ + 1),
                               [f, set]() -> std::int64_t {
                                 return *set != 0
                                            ? static_cast<std::int64_t>(f->val)
@@ -364,7 +382,7 @@ class TriangularModularCore::Cell : public sim::Module {
         const std::uint32_t t = a.id(i_ - 1, j_);
         const Flit* const f = &a.col_launch[t];
         const std::uint8_t* const set = &a.col_launch_set[t];
-        ports.writes_register(f, slot("col_launch", i_ - 1, j_),
+        ports.writes_register(f, port_label("col_launch", i_ - 1, j_),
                               [f, set]() -> std::int64_t {
                                 return *set != 0
                                            ? static_cast<std::int64_t>(f->val)
@@ -372,6 +390,12 @@ class TriangularModularCore::Cell : public sim::Module {
                               });
       }
     }
+  }
+
+  /// Names the cell's value lane (the only key the recorder narrates) as
+  /// describe_ports does.
+  void declare_lanes(sim::OpRecorder& rec) const {
+    rec.declare_lane(&a_.meta[id_].best, name(), port_label("cell", i_, j_));
   }
 
  private:
@@ -443,6 +467,7 @@ void TriangularModularCore::elaborate(sim::Engine& engine) {
     for (std::size_t i = 0; i + d < n_; ++i) {
       cells_.push_back(std::make_unique<Cell>(i, i + d, *arena_));
       engine.add(*cells_.back());
+      if (arena_->rec != nullptr) cells_.back()->declare_lanes(*arena_->rec);
     }
   }
   // Wakeup edges follow the two transport streams, the only arcs a flit
@@ -463,16 +488,22 @@ void TriangularModularCore::elaborate(sim::Engine& engine) {
 void TriangularModularCore::describe_environment(sim::PortSet& ports) const {
   if (arena_ == nullptr) return;
   const std::size_t n = arena_->n;
+  // The result harvest reads every cell's value.
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i; j < n; ++j) {
+      ports.reads_register(&arena_->meta[arena_->id(i, j)].best,
+                           port_label("cell", i, j));
+    }
+  }
   // Boundary tie-offs: the last column's row streams and the top row's
   // column streams shift off the edge of the triangle by design.
   for (std::size_t i = 0; i + 1 < n; ++i) {
     ports.reads_register(&arena_->link[arena_->id(i, n - 1)].row_cur,
-                         "row[" + std::to_string(i) + "," +
-                             std::to_string(n - 1) + "]");
+                         port_label("row", i, n - 1));
   }
   for (std::size_t j = 1; j < n; ++j) {
     ports.reads_register(&arena_->link[arena_->id(0, j)].col_cur,
-                         "col[0," + std::to_string(j) + "]");
+                         port_label("col", 0, j));
   }
 }
 

@@ -11,10 +11,9 @@
 //     the verifier cannot drift apart silently — a disagreement between
 //     the two is itself a finding.
 //
-// Everything is header-only on purpose: src/analysis may not link against
-// sysdp_compile (the compile library already links sysdp_analysis for
-// netlist capture), so the shared analysis must live entirely in inline
-// code over compile/program.hpp.
+// Everything is header-only on purpose: src/analysis does not link
+// against sysdp_compile, so the shared analysis must live entirely in
+// inline code over compile/program.hpp.
 #pragma once
 
 #include <cstdint>

@@ -10,33 +10,33 @@
 // therefore fixes the complete schedule for the instance, and the tape
 // replays it bit-identically, cycle for cycle.
 //
-// The elaborated dataflow graph rides along: lowering captures
-// analysis::capture()'s netlist at the oracle's elaboration point and ties
-// the recorder's lanes back to declared storages (stats + diagnostics):
-// each key of Recorder::lane_key_table() is one probe of the netlist's
-// storage index, so naming stays linear in the lane count.  The compiled
-// program is the same netlist, flattened.
+// Lanes are named where they are born: each array declares the writer
+// module and port label of every storage key it narrates
+// (sim::OpRecorder::declare_lane, from elaborate()), and the recorder joins
+// those declarations to its lanes when the tape is sealed.  Lowering never
+// captures the analysis netlist or calls describe_ports /
+// describe_environment; the names still equal what a capture of the same
+// engine would resolve, because each family derives both from one label
+// helper.
 #pragma once
 
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
-#include <utility>
-#include <vector>
 
-#include "analysis/netlist.hpp"
 #include "compile/compact.hpp"
 #include "compile/optimize.hpp"
 #include "compile/program.hpp"
 #include "compile/recorder.hpp"
 #include "sim/engine.hpp"
-#include "sim/port.hpp"
 
 namespace sysdp::compile {
 
 struct LowerOptions {
-  /// Capture the analysis netlist at elaboration and resolve lane names.
+  /// Name lanes from the array's declare_lane() declarations
+  /// (Provenance, TapeStats::named_lanes).  The field keeps its historical
+  /// name; lowering captures no netlist either way.  Off, every lane stays
+  /// "lane<N>" and the tape is otherwise identical.
   bool capture_netlist = true;
   /// Cross-check tape op count against the oracle's busy-step count: every
   /// paper design marks exactly one busy step per semiring op, so a
@@ -102,40 +102,6 @@ template <typename R>
   }
 }
 
-/// Resolve the recorder's provenance lanes against the captured netlist:
-/// each lane's storage key is looked up in the netlist's storage index, its
-/// label becomes the declared port label and its module the storage's
-/// first writer (or the environment node when nothing writes it).  Module
-/// names are interned first-seen into Provenance::modules, which fixes the
-/// compiled timeline's PE-row order; writers that share a name share one
-/// module id.  Returns the number of lanes named.
-inline std::uint64_t resolve_provenance(Provenance& prov,
-                                        const std::vector<const void*>& keys,
-                                        const analysis::Netlist& netlist) {
-  std::unordered_map<std::string, std::uint32_t> module_id;
-  for (std::uint32_t id = 0; id < prov.modules.size(); ++id) {
-    module_id.try_emplace(prov.modules[id], id);
-  }
-  std::uint64_t named = 0;
-  for (std::size_t i = 0; i < prov.lanes.size() && i < keys.size(); ++i) {
-    const std::uint32_t s = netlist.storage_of(keys[i]);
-    if (s == analysis::Netlist::npos) continue;
-    const analysis::Storage& storage = netlist.storages[s];
-    ProvenanceLane& lane = prov.lanes[i];
-    if (!storage.label.empty()) lane.label = storage.label;
-    lane.module = storage.writers.empty()
-                      ? netlist.node(netlist.environment).name
-                      : netlist.node(storage.writers.front()).name;
-    const auto [it, fresh] = module_id.try_emplace(
-        lane.module, static_cast<std::uint32_t>(prov.modules.size()));
-    if (fresh) prov.modules.push_back(lane.module);
-    lane.module_id = it->second;
-    lane.named = true;
-    ++named;
-  }
-  return named;
-}
-
 }  // namespace detail
 
 /// Lower `arr` by oracle run.  The array must be fresh (never run); the
@@ -146,19 +112,9 @@ inline std::uint64_t resolve_provenance(Provenance& prov,
 template <typename Array>
 [[nodiscard]] Lowered lower_array(Array& arr, const LowerOptions& opt = {}) {
   sim::Engine oracle;
-  Recorder rec;
+  Recorder rec(opt.capture_netlist);
   oracle.set_recorder(&rec);
   oracle.add_observer(&rec);
-  analysis::Netlist netlist;
-  bool captured = false;
-  if (opt.capture_netlist) {
-    oracle.set_elaboration_check([&](const sim::Engine& e) {
-      analysis::CaptureOptions copts;
-      arr.describe_environment(copts.environment);
-      netlist = analysis::capture(e, copts);
-      captured = true;
-    });
-  }
 
   const auto result = arr.run(oracle);
 
@@ -168,10 +124,6 @@ template <typename Array>
   out.net.stats.oracle_active_evals = oracle.active_evals();
   out.net.stats.oracle_dense_evals = oracle.dense_evals();
   out.net.stats.oracle_busy_steps = detail::busy_steps_of(result);
-  if (captured) {
-    out.net.stats.named_lanes = detail::resolve_provenance(
-        out.net.provenance, rec.lane_key_table(), netlist);
-  }
   if (out.net.cycles() != oracle.now()) {
     throw std::logic_error(
         "compile::lower_array: tape has " + std::to_string(out.net.cycles()) +

@@ -95,17 +95,19 @@ struct Output {
 };
 
 /// One provenance lane: a design storage key the oracle run narrated,
-/// resolved to its writer module and declared port label when lowering
-/// captured the analysis netlist (LowerOptions::capture_netlist).  Lanes
-/// whose key matched no declared storage keep a synthetic "lane<N>" label
-/// and stay unnamed — the waveform layer skips them so every emitted
-/// signal name also exists in the interpreted run's VCD.
+/// named with the writer module and port label the array declared for it
+/// (sim::OpRecorder::declare_lane; LowerOptions::capture_netlist turns
+/// naming on).  The declaration uses the same label describe_ports gives
+/// the key, so the names are the interpreted VCD's.  Lanes whose key no
+/// array declared keep a synthetic "lane<N>" label and stay unnamed — the
+/// waveform layer skips them so every emitted signal name also exists in
+/// the interpreted run's VCD.
 struct ProvenanceLane {
-  std::string module;  ///< writer module name; empty when unresolved
-  std::string label;   ///< declared port label; "lane<N>" when unresolved
-  /// Index into Provenance::modules, or Provenance::kNone when unresolved.
+  std::string module;  ///< writer module name; empty when unnamed
+  std::string label;   ///< declared port label; "lane<N>" when unnamed
+  /// Index into Provenance::modules, or Provenance::kNone when unnamed.
   std::uint32_t module_id = 0xffffffffu;
-  bool named = false;  ///< resolved against the captured netlist
+  bool named = false;  ///< the array declared this lane's key
 };
 
 /// One binding event: at VCD time `stamp`, the design register behind
@@ -124,10 +126,11 @@ struct ProvenanceBind {
 
 /// The slot→port provenance table: which design module and described port
 /// each tape slot and op originated from.  Emitted by the recorder during
-/// lowering, name-resolved against the captured analysis netlist, and
-/// carried through compaction via the live-range remap — the compiled
-/// backend's link from flat slot indices back to the signal names the
-/// interpreted observers (obs::VcdSink, obs::TimelineSink) report.
+/// lowering, named from the arrays' lane declarations when the tape is
+/// sealed, and carried through compaction via the live-range remap — the
+/// compiled backend's link from flat slot indices back to the signal
+/// names the interpreted observers (obs::VcdSink, obs::TimelineSink)
+/// report.
 struct Provenance {
   static constexpr std::uint32_t kNone = 0xffffffffu;
 
@@ -155,7 +158,7 @@ struct TapeStats {
   std::uint64_t copies_elided = 0;   ///< register writes with no tape op
   std::uint64_t consts_interned = 0; ///< dedup hits on constant()
   std::uint64_t lanes_bound = 0;     ///< distinct storage keys narrated
-  std::uint64_t named_lanes = 0;     ///< lanes matched to captured storages
+  std::uint64_t named_lanes = 0;     ///< lanes named from a declaration
   std::uint64_t oracle_active_evals = 0;
   std::uint64_t oracle_dense_evals = 0;
   std::uint64_t oracle_busy_steps = 0;  ///< must equal ops.size()

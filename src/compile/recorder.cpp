@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string_view>
 
 #include "semiring/closed_semiring.hpp"
 #include "semiring/kernels.hpp"
@@ -37,9 +38,10 @@ std::size_t lane_hash(const void* key, unsigned shift) {
 
 }  // namespace
 
-Recorder::Recorder()
+Recorder::Recorder(bool name_lanes)
     : lane_table_(std::size_t{1} << kInitialLaneBits),
-      lane_shift_(64 - kInitialLaneBits) {}
+      lane_shift_(64 - kInitialLaneBits),
+      name_lanes_(name_lanes) {}
 
 void Recorder::reserve_ops(std::uint64_t ops) {
   if (ops >= std::numeric_limits<sim::SlotId>::max()) {
@@ -52,6 +54,15 @@ void Recorder::reserve_ops(std::uint64_t ops) {
   ops_.reserve(n);
   slots_.reserve(slots_.size() + 2 * n);
   binds_.reserve(2 * n);
+}
+
+void Recorder::declare_lane(const void* key, std::string_view module,
+                            std::string_view label) {
+  if (key == nullptr) bail("declare_lane", "null storage key");
+  if (label.empty()) bail("declare_lane", "empty port label");
+  if (!name_lanes_) return;
+  lane_names_.try_emplace(key, LaneName{std::string(module),
+                                        std::string(label)});
 }
 
 // The per-narration helpers (alloc, push_op, lane_entry, record_bind,
@@ -330,15 +341,11 @@ CompiledNetlist Recorder::finish(bool parameterise) {
     net.params.reserve(net.ops.size());
     for (const Op& op : net.ops) net.params.push_back(op.w);
   }
-  // Provenance plane: unresolved lane records (lowering resolves names
-  // against the captured netlist once the oracle run is sealed), bind
-  // events sorted by stamp with narration order kept within one stamp —
-  // the stamp-0 first-touch events, then the committed ones, each log
-  // already in that order.
-  net.provenance.lanes.resize(lane_key_of_.size());
-  for (std::size_t i = 0; i < net.provenance.lanes.size(); ++i) {
-    net.provenance.lanes[i].label = "lane" + std::to_string(i);
-  }
+  // Provenance plane: lanes named from the declarations, bind events
+  // sorted by stamp with narration order kept within one stamp — the
+  // stamp-0 first-touch events, then the committed ones, each log already
+  // in that order.
+  net.stats.named_lanes = join_names(net.provenance);
   net.provenance.binds = std::move(binds_);
   net.provenance.binds.insert(net.provenance.binds.begin(),
                               reset_binds_.begin(), reset_binds_.end());
@@ -346,6 +353,33 @@ CompiledNetlist Recorder::finish(bool parameterise) {
   net.stats.consts_interned = consts_interned_;
   net.stats.lanes_bound = lane_key_of_.size();
   return net;
+}
+
+std::uint64_t Recorder::join_names(Provenance& prov) {
+  prov.lanes.resize(lane_key_of_.size());
+  // Keyed by views of the lanes' own module strings: prov.lanes is not
+  // resized again, so the views stay valid for the whole join.
+  std::unordered_map<std::string_view, std::uint32_t> module_id;
+  module_id.reserve(lane_names_.size());
+  std::uint64_t named = 0;
+  for (std::size_t i = 0; i < prov.lanes.size(); ++i) {
+    ProvenanceLane& lane = prov.lanes[i];
+    const auto it = lane_names_.find(lane_key_of_[i]);
+    if (it == lane_names_.end()) {
+      lane.label = "lane" + std::to_string(i);
+      continue;
+    }
+    // Each key is one lane, so its declaration can be moved out.
+    lane.module = std::move(it->second.module);
+    lane.label = std::move(it->second.label);
+    const auto [id, fresh] = module_id.try_emplace(
+        lane.module, static_cast<std::uint32_t>(prov.modules.size()));
+    if (fresh) prov.modules.push_back(lane.module);
+    lane.module_id = id->second;
+    lane.named = true;
+    ++named;
+  }
+  return named;
 }
 
 }  // namespace sysdp::compile

@@ -24,6 +24,10 @@
 // exact announcement never regrows them.  Storage keys
 // map to lanes through a flat open-addressing table (one probe per
 // narrated key, no node allocation).
+//
+// Lanes are named from the arrays' declare_lane() declarations, joined to
+// the lanes in lane order at finish(): one hash probe per lane, no
+// netlist.
 #pragma once
 
 #include <cstdint>
@@ -42,10 +46,14 @@ namespace sysdp::compile {
 
 class Recorder final : public sim::OpRecorder, public sim::EngineObserver {
  public:
-  Recorder();
+  /// With `name_lanes` false, declare_lane() is ignored and every lane
+  /// stays unnamed ("lane<N>").
+  explicit Recorder(bool name_lanes = true);
 
   // --- sim::OpRecorder ----------------------------------------------------
   void reserve_ops(std::uint64_t ops) override;
+  void declare_lane(const void* key, std::string_view module,
+                    std::string_view label) override;
   sim::SlotId constant(std::int64_t value) override;
   sim::SlotId constant_pair(std::int64_t value, std::int64_t arg) override;
   sim::SlotId lane(const void* key, std::int64_t live) override;
@@ -67,17 +75,13 @@ class Recorder final : public sim::OpRecorder, public sim::EngineObserver {
   /// Clock edge: apply staged binds, close the current dependency level.
   void on_cycle(const sim::Engine& engine, sim::Cycle t) override;
 
-  /// Storage key per provenance lane, indexed by lane id.  Valid after
-  /// finish() too — lowering resolves lane names against the captured
-  /// netlist once the tape is sealed, one storage-index probe per lane.
-  [[nodiscard]] const std::vector<const void*>& lane_key_table() const {
-    return lane_key_of_;
-  }
-
   /// Seal the tape.  Call after the oracle run completes; the recorder is
   /// spent afterwards.  With `parameterise`, the tape additionally carries
   /// its parameter plane (one weight parameter per op, initialised to the
   /// oracle binding) so executors can rebind per-instance weight tables.
+  /// Each lane whose key was declared takes the declaration's module and
+  /// label; module names are interned in first-seen lane order, so lanes
+  /// whose writers share a name share one module id.
   [[nodiscard]] CompiledNetlist finish(bool parameterise = false);
 
  private:
@@ -88,6 +92,11 @@ class Recorder final : public sim::OpRecorder, public sim::EngineObserver {
     /// is the op's provenance attribution, gathered at finish().
     std::uint32_t lane = Provenance::kNone;
     std::uint8_t pair_head = 0;  ///< value half of a (value, arg) pair
+  };
+  /// A declared writer module and port label (declare_lane).
+  struct LaneName {
+    std::string module;
+    std::string label;
   };
   /// One lane-table entry: a storage key, its lane id and the slot the
   /// lane is bound to (kNone until the first bind).  key == nullptr marks
@@ -118,6 +127,9 @@ class Recorder final : public sim::OpRecorder, public sim::EngineObserver {
   /// Point `key`'s lane at `slot` (bind_now and the commit edge), counting
   /// an elided copy when the lane already held a different slot.
   void rebind(const void* key, sim::SlotId slot, std::uint32_t stamp);
+  /// Join the declared names to the lanes (finish); returns the number of
+  /// lanes named.
+  std::uint64_t join_names(Provenance& prov);
 
   std::vector<SlotRecord> slots_;
   std::vector<std::pair<const void*, sim::SlotId>> staged_;
@@ -143,9 +155,12 @@ class Recorder final : public sim::OpRecorder, public sim::EngineObserver {
   // (nondecreasing).
   std::vector<LaneEntry> lane_table_;
   unsigned lane_shift_ = 0;  ///< 64 - log2(table size)
-  std::vector<const void*> lane_key_of_;
+  std::vector<const void*> lane_key_of_;  ///< storage key per lane id
   std::vector<ProvenanceBind> reset_binds_;
   std::vector<ProvenanceBind> binds_;
+  /// Declared names by storage key (first declaration wins).
+  std::unordered_map<const void*, LaneName> lane_names_;
+  bool name_lanes_ = true;
   bool finished_ = false;
 };
 

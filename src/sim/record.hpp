@@ -34,6 +34,14 @@
 // the tape: a missing, short or long one changes no recorded value, only
 // how often buffers grow.
 //
+// Lanes are named where they are born.  Each value in these arrays has one
+// owner (a PE's R/ACC rail, a triangle cell's m(i,j)), so an array that
+// narrates a storage key also knows its writer module and port label: it
+// declares them once, from elaborate(), through declare_lane(), using the
+// same label helper its describe_ports() uses.  The recorder joins the
+// declarations to its lanes when the tape is sealed, so naming costs one
+// declaration per owned key and no netlist walk.
+//
 // sim knows only this abstract interface; the concrete Recorder that turns
 // the narration into a CompiledNetlist lives in src/compile.  Arrays guard
 // every call behind a null check, so a run without a recorder pays one
@@ -61,6 +69,20 @@ class OpRecorder {
   /// fold + relax).  Called at most once, before the first op; the default
   /// ignores it.
   virtual void reserve_ops(std::uint64_t ops) { (void)ops; }
+
+  // --- naming -------------------------------------------------------------
+  /// Declare that storage `key` is written by the module named `module`
+  /// under port label `label` — the names its describe_ports() gives the
+  /// key.  Called from elaborate(), before the first cycle; the first
+  /// declaration of a key wins, and a narrated key nobody declares stays
+  /// unnamed.  Like reserve_ops() it changes no recorded value; the
+  /// default ignores it.
+  virtual void declare_lane(const void* key, std::string_view module,
+                            std::string_view label) {
+    (void)key;
+    (void)module;
+    (void)label;
+  }
 
   // --- slots --------------------------------------------------------------
   /// Interned constant value; repeated calls with the same value return the

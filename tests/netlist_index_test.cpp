@@ -1,19 +1,24 @@
-// Netlist lookups and provenance resolution.  The captured netlist answers
+// Netlist lookups and lane naming.  The captured netlist answers
 // storage_of() from its storage index and has_wakeup() by binary search of
-// its sorted wakeup edges; lowering names every recorder lane through
-// them.  This file pins both lookups directly on hand-declared fixtures,
-// and checks compile::detail::resolve_provenance against a reference copy
-// of the plain algorithm (a scan of the storage table per lane, a scan of
-// the module table per named lane) on real lowerings.
+// its sorted wakeup edges; this file pins both lookups on hand-declared
+// fixtures.  Lowering names its lanes from the arrays' own declare_lane()
+// declarations, not from a netlist: the second half checks, for every
+// registry design and a few more instances, that each lane's narrated
+// (module, label, module id, named) equals what resolving the same key
+// against a captured netlist gives — capture is the test-side oracle —
+// and that lowering never calls describe_ports.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "../examples/design_registry.hpp"
 #include "analysis/netlist.hpp"
 #include "arrays/design1_modular.hpp"
 #include "arrays/triangular_array.hpp"
@@ -24,7 +29,9 @@
 #include "graph/generators.hpp"
 #include "sim/engine.hpp"
 #include "sim/module.hpp"
+#include "sim/observer.hpp"
 #include "sim/port.hpp"
+#include "sim/record.hpp"
 
 namespace sysdp {
 namespace {
@@ -145,16 +152,20 @@ TEST(NetlistIndex, HasWakeupFindsExactlyTheDeclaredEdges) {
   EXPECT_TRUE(cut.has_wakeup(2, 1));
 }
 
-// ------------------------------------- provenance against a reference ---
+// ------------------------------------ narrated names against capture ---
 
-/// The plain resolution algorithm, kept here as the reference: for each
-/// lane, scan the storage table for its key; intern the module name by
-/// scanning the module table.
-std::uint64_t reference_resolve(compile::Provenance& prov,
-                                const std::vector<const void*>& keys,
-                                const Netlist& netlist) {
-  std::uint64_t named = 0;
-  for (std::size_t i = 0; i < prov.lanes.size() && i < keys.size(); ++i) {
+/// Capture-based naming, the oracle: each lane's key is looked up in the
+/// captured netlist's storage table; a found storage names the lane with
+/// its label and its first writer (the environment when nothing writes
+/// it), module names interned in first-seen lane order.  Lanes whose key
+/// no port declares keep "lane<N>".
+compile::Provenance resolve_by_capture(const std::vector<const void*>& keys,
+                                       const Netlist& netlist) {
+  compile::Provenance prov;
+  prov.lanes.resize(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    compile::ProvenanceLane& lane = prov.lanes[i];
+    lane.label = "lane" + std::to_string(i);
     std::uint32_t s = Netlist::npos;
     for (std::uint32_t j = 0; j < netlist.storages.size(); ++j) {
       if (netlist.storages[j].key == keys[i]) {
@@ -164,7 +175,6 @@ std::uint64_t reference_resolve(compile::Provenance& prov,
     }
     if (s == Netlist::npos) continue;
     const analysis::Storage& storage = netlist.storages[s];
-    compile::ProvenanceLane& lane = prov.lanes[i];
     if (!storage.label.empty()) lane.label = storage.label;
     lane.module = storage.writers.empty()
                       ? netlist.node(netlist.environment).name
@@ -174,14 +184,19 @@ std::uint64_t reference_resolve(compile::Provenance& prov,
     if (id == prov.modules.size()) prov.modules.push_back(lane.module);
     lane.module_id = id;
     lane.named = true;
-    ++named;
   }
+  return prov;
+}
+
+std::uint64_t named_count(const compile::Provenance& prov) {
+  std::uint64_t named = 0;
+  for (const auto& lane : prov.lanes) named += lane.named ? 1u : 0u;
   return named;
 }
 
-void expect_same_provenance(const compile::Provenance& got,
-                            const compile::Provenance& want,
-                            const std::string& what) {
+void expect_same_names(const compile::Provenance& got,
+                       const compile::Provenance& want,
+                       const std::string& what) {
   EXPECT_EQ(got.modules, want.modules) << what;
   ASSERT_EQ(got.lanes.size(), want.lanes.size()) << what;
   for (std::size_t i = 0; i < got.lanes.size(); ++i) {
@@ -191,62 +206,152 @@ void expect_same_provenance(const compile::Provenance& got,
     EXPECT_EQ(got.lanes[i].module_id, want.lanes[i].module_id);
     EXPECT_EQ(got.lanes[i].named, want.lanes[i].named);
   }
-  EXPECT_EQ(got.op_lane, want.op_lane) << what;
 }
 
-/// One oracle run recorded the way lower_array() records it, with the
-/// provenance left unresolved.
-struct Recorded {
+/// Forwards the narration to a compile::Recorder unchanged and mirrors its
+/// lane numbering: a key becomes the next lane the first time the recorder
+/// looks it up — at lane(), lane_pair() and bind_now(), and for
+/// bind_staged() at the commit edge, in staging order.
+class LaneKeyProbe final : public sim::OpRecorder, public sim::EngineObserver {
+ public:
+  explicit LaneKeyProbe(compile::Recorder& inner) : inner_(inner) {}
+
+  void reserve_ops(std::uint64_t ops) override { inner_.reserve_ops(ops); }
+  void declare_lane(const void* key, std::string_view module,
+                    std::string_view label) override {
+    inner_.declare_lane(key, module, label);
+  }
+  sim::SlotId constant(std::int64_t v) override { return inner_.constant(v); }
+  sim::SlotId constant_pair(std::int64_t v, std::int64_t arg) override {
+    return inner_.constant_pair(v, arg);
+  }
+  sim::SlotId lane(const void* key, std::int64_t live) override {
+    note(key);
+    return inner_.lane(key, live);
+  }
+  sim::SlotId lane_pair(const void* key, std::int64_t live,
+                        std::int64_t arg) override {
+    note(key);
+    return inner_.lane_pair(key, live, arg);
+  }
+  void bind_now(const void* key, sim::SlotId slot) override {
+    note(key);
+    inner_.bind_now(key, slot);
+  }
+  void bind_staged(const void* key, sim::SlotId slot) override {
+    staged_.push_back(key);
+    inner_.bind_staged(key, slot);
+  }
+  sim::SlotId mac(sim::SlotId base, std::int64_t w, sim::SlotId x) override {
+    return inner_.mac(base, w, x);
+  }
+  sim::SlotId fold(sim::SlotId best, sim::SlotId left, sim::SlotId right,
+                   std::int64_t local) override {
+    return inner_.fold(best, left, right, local);
+  }
+  sim::SlotId relax(sim::SlotId pair, sim::SlotId kh, std::int64_t edge,
+                    std::int64_t station) override {
+    return inner_.relax(pair, kh, edge, station);
+  }
+  void output(std::string_view tag, std::uint64_t index, sim::SlotId slot,
+              std::int64_t observed) override {
+    inner_.output(tag, index, slot, observed);
+  }
+  void output_arg(std::string_view tag, std::uint64_t index, sim::SlotId pair,
+                  std::int64_t observed) override {
+    inner_.output_arg(tag, index, pair, observed);
+  }
+  void on_cycle(const sim::Engine& engine, sim::Cycle t) override {
+    for (const void* key : staged_) note(key);
+    staged_.clear();
+    inner_.on_cycle(engine, t);
+  }
+
+  std::vector<const void*> keys;  ///< storage key per lane id
+
+ private:
+  void note(const void* key) {
+    if (seen_.insert(key).second) keys.push_back(key);
+  }
+
+  compile::Recorder& inner_;
+  std::vector<const void*> staged_;
+  std::unordered_set<const void*> seen_;
+};
+
+/// One oracle run recorded the way lower_array() records it, plus the
+/// lane keys and the netlist captured at elaboration.
+struct Narrated {
   compile::CompiledNetlist net;
   std::vector<const void*> keys;
   Netlist netlist;
 };
 
-template <typename Array>
-Recorded record(Array& arr) {
+Narrated narrate(const std::function<void(sim::Engine&)>& run,
+                 const std::function<void(sim::PortSet&)>& environment) {
   sim::Engine oracle;
   compile::Recorder rec;
-  oracle.set_recorder(&rec);
-  oracle.add_observer(&rec);
-  Recorded out;
+  LaneKeyProbe probe(rec);
+  oracle.set_recorder(&probe);
+  oracle.add_observer(&probe);
+  Narrated out;
   oracle.set_elaboration_check([&](const sim::Engine& e) {
     analysis::CaptureOptions copts;
-    arr.describe_environment(copts.environment);
+    environment(copts.environment);
     out.netlist = analysis::capture(e, copts);
   });
-  (void)arr.run(oracle);
+  run(oracle);
   out.net = rec.finish();
-  out.keys = rec.lane_key_table();
+  out.keys = std::move(probe.keys);
   return out;
 }
 
-/// Resolve one recording both ways, and lower a twin instance through
-/// lower_array(): all three must agree lane for lane.
-template <typename Make>
-void check_against_reference(const std::string& what, Make make) {
-  auto arr = make();
-  Recorded rec = record(arr);
+/// The cross-check: the narrated names of one recording equal the
+/// capture-based names of the same keys, and lower_array() on a twin
+/// instance produces the same names and attribution.
+void expect_narration_matches_capture(
+    const std::string& what, const std::function<void(sim::Engine&)>& run,
+    const std::function<void(sim::PortSet&)>& environment,
+    const std::function<compile::Lowered()>& lower_twin) {
+  const Narrated rec = narrate(run, environment);
   ASSERT_GT(rec.keys.size(), 0u) << what;
+  ASSERT_EQ(rec.keys.size(), rec.net.stats.lanes_bound) << what;
+  const compile::Provenance want = resolve_by_capture(rec.keys, rec.netlist);
+  EXPECT_EQ(rec.net.stats.named_lanes, named_count(want)) << what;
+  expect_same_names(rec.net.provenance, want, what + " (recorder)");
 
-  compile::Provenance lib = rec.net.provenance;
-  compile::Provenance ref = rec.net.provenance;
-  const std::uint64_t lib_named =
-      compile::detail::resolve_provenance(lib, rec.keys, rec.netlist);
-  const std::uint64_t ref_named = reference_resolve(ref, rec.keys, rec.netlist);
-  EXPECT_EQ(lib_named, ref_named) << what;
-  expect_same_provenance(lib, ref, what + " (resolve_provenance)");
+  const compile::Lowered low = lower_twin();
+  EXPECT_EQ(low.net.stats.named_lanes, named_count(want)) << what;
+  expect_same_names(low.net.provenance, want, what + " (lower_array)");
+  EXPECT_EQ(low.net.provenance.op_lane, rec.net.provenance.op_lane) << what;
+}
 
+template <typename Make>
+void check_against_capture(const std::string& what, Make make) {
+  auto arr = make();
   auto twin = make();
-  compile::LowerOptions opt;
-  opt.compact = false;
-  const compile::Lowered low = compile::lower_array(twin, opt);
-  EXPECT_EQ(low.net.stats.named_lanes, ref_named) << what;
-  expect_same_provenance(low.net.provenance, ref, what + " (lower_array)");
+  expect_narration_matches_capture(
+      what, [&](sim::Engine& e) { (void)arr.run(e); },
+      [&](sim::PortSet& p) { arr.describe_environment(p); },
+      [&] { return compile::lower_array(twin); });
+}
+
+TEST(ProvenanceResolve, RegistryNarrationMatchesCapture) {
+  const auto designs = examples::all_designs();
+  ASSERT_EQ(designs.size(), 14u);
+  for (const auto& d : designs) {
+    const auto inst = d.make();
+    const auto twin = d.make();
+    expect_narration_matches_capture(
+        d.name, [&](sim::Engine& e) { inst->run(e); },
+        [&](sim::PortSet& p) { inst->describe_environment(p); },
+        [&] { return twin->lower(); });
+  }
 }
 
 TEST(ProvenanceResolve, Design1MatchesReference) {
   for (const std::size_t m : {3u, 5u}) {
-    check_against_reference("design1 m" + std::to_string(m), [m] {
+    check_against_capture("design1 m" + std::to_string(m), [m] {
       Rng rng(40 + m);
       std::vector<Cost> costs(m);
       for (std::size_t i = 0; i < m; ++i) costs[i] = static_cast<Cost>(i + 1);
@@ -256,19 +361,19 @@ TEST(ProvenanceResolve, Design1MatchesReference) {
 }
 
 TEST(ProvenanceResolve, Design1NamesLanesAndMergesModules) {
-  // Design 1 is the family whose lanes resolve, so the reference check
-  // above compares real names, not only misses.
+  // Every Design 1 lane is a declared rail or the host feed, and each PE
+  // owns two rails, so modules merge.
   Rng rng(41);
   Design1Modular arr(random_matrix_string(3, 4, rng), {1, 2, 3, 4});
   const compile::Lowered low = compile::lower_array(arr);
-  EXPECT_GT(low.net.stats.named_lanes, 0u);
+  EXPECT_EQ(low.net.stats.named_lanes, low.net.stats.lanes_bound);
   EXPECT_GT(low.net.provenance.modules.size(), 0u);
   EXPECT_LT(low.net.provenance.modules.size(), low.net.provenance.lanes.size());
 }
 
 TEST(ProvenanceResolve, GktMatchesReference) {
   for (const std::size_t m : {3u, 6u}) {
-    check_against_reference("gkt m" + std::to_string(m), [m] {
+    check_against_capture("gkt m" + std::to_string(m), [m] {
       std::vector<Cost> dims(m + 1);
       for (std::size_t i = 0; i <= m; ++i) {
         dims[i] = static_cast<Cost>(2 + (i * 7) % 9);
@@ -279,16 +384,61 @@ TEST(ProvenanceResolve, GktMatchesReference) {
 }
 
 TEST(ProvenanceResolve, BstMatchesReference) {
-  check_against_reference("bst n5", [] {
+  check_against_capture("bst n5", [] {
     return TriangularModularArray<BstRule>(BstRule({3, 1, 4, 1, 5}), 5);
   });
 }
 
 TEST(ProvenanceResolve, ChainRuleMatchesReference) {
-  check_against_reference("chain n6", [] {
+  check_against_capture("chain n6", [] {
     return TriangularModularArray<ChainRule>(ChainRule({5, 3, 8, 2, 6, 4, 7}),
                                              6);
   });
+}
+
+TEST(ProvenanceResolve, TriangularTapesAreFullyNamed) {
+  // Every triangle lane is a cell value m(i, j), declared by its cell: one
+  // module per cell, every lane named.
+  const auto expect_full = [](const compile::Lowered& low, std::size_t n,
+                              const std::string& what) {
+    const auto& prov = low.net.provenance;
+    EXPECT_EQ(low.net.stats.named_lanes, low.net.stats.lanes_bound) << what;
+    EXPECT_EQ(prov.modules.size(), n * (n + 1) / 2) << what;
+    for (std::uint64_t i = 0; i < low.net.num_ops(); ++i) {
+      ASSERT_LT(prov.module_of_op(i), prov.modules.size()) << what;
+    }
+  };
+  for (const std::size_t n : {2u, 7u, 16u}) {
+    std::vector<Cost> w(n);
+    for (std::size_t i = 0; i < n; ++i) w[i] = static_cast<Cost>(3 + i % 5);
+    std::vector<Cost> dims = w;
+    dims.push_back(4);
+    TriangularModularArray<ChainRule> chain(ChainRule(dims), n);
+    expect_full(compile::lower_array(chain), n, "chain n" + std::to_string(n));
+    TriangularModularArray<BstRule> bst(BstRule(w), n);
+    expect_full(compile::lower_array(bst), n, "bst n" + std::to_string(n));
+    TriangularModularArray<PolygonRule> poly(PolygonRule(w), n);
+    expect_full(compile::lower_array(poly), n, "polygon n" + std::to_string(n));
+  }
+}
+
+TEST(ProvenanceResolve, NamingOffLeavesTheTapeOtherwiseIdentical) {
+  TriangularModularArray<ChainRule> named(ChainRule({5, 3, 8, 2, 6}), 4);
+  TriangularModularArray<ChainRule> plain(ChainRule({5, 3, 8, 2, 6}), 4);
+  compile::LowerOptions off;
+  off.capture_netlist = false;
+  const compile::Lowered a = compile::lower_array(named);
+  const compile::Lowered b = compile::lower_array(plain, off);
+  EXPECT_EQ(b.net.stats.named_lanes, 0u);
+  EXPECT_TRUE(b.net.provenance.modules.empty());
+  ASSERT_EQ(a.net.provenance.lanes.size(), b.net.provenance.lanes.size());
+  for (std::size_t i = 0; i < b.net.provenance.lanes.size(); ++i) {
+    EXPECT_FALSE(b.net.provenance.lanes[i].named);
+    EXPECT_EQ(b.net.provenance.lanes[i].label, "lane" + std::to_string(i));
+  }
+  EXPECT_EQ(a.net.provenance.op_lane, b.net.provenance.op_lane);
+  EXPECT_EQ(a.net.num_ops(), b.net.num_ops());
+  EXPECT_EQ(a.net.expected, b.net.expected);
 }
 
 TEST(ProvenanceResolve, WritersSharingANameShareOneModuleId) {
@@ -310,19 +460,22 @@ TEST(ProvenanceResolve, WritersSharingANameShareOneModuleId) {
   copts.environment.reads_register(&tap, "tap");
   const Netlist net = analysis::capture(engine, copts);
 
-  compile::Provenance prov;
+  // The same names through the hook: each writer declares its key, the
+  // environment tap is declared under the environment's name, and a
+  // second declaration of a key does not override the first.
+  compile::Recorder rec;
+  rec.declare_lane(&a, pe0.name(), "a");
+  rec.declare_lane(&c, ctl.name(), "c");
+  rec.declare_lane(&b, pe1.name(), "b");
+  rec.declare_lane(&tap, "environment", "tap");
+  rec.declare_lane(&a, ctl.name(), "a2");
   const std::vector<const void*> keys = {&b, &unknown, &c, &tap, &a};
-  prov.lanes.resize(keys.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    prov.lanes[i].label = "lane" + std::to_string(i);
-  }
-  compile::Provenance ref = prov;
-  const std::uint64_t named =
-      compile::detail::resolve_provenance(prov, keys, net);
-  EXPECT_EQ(named, reference_resolve(ref, keys, net));
-  expect_same_provenance(prov, ref, "fixture");
+  for (const void* key : keys) (void)rec.lane(key, 0);
+  const compile::CompiledNetlist tape = rec.finish();
+  const compile::Provenance& prov = tape.provenance;
+  expect_same_names(prov, resolve_by_capture(keys, net), "fixture");
 
-  EXPECT_EQ(named, 4u);
+  EXPECT_EQ(tape.stats.named_lanes, 4u);
   EXPECT_EQ(prov.modules,
             (std::vector<std::string>{"pe", "ctl", "environment"}));
   EXPECT_EQ(prov.lanes[0].module_id, 0u);  // b, written by the second "pe"
@@ -332,6 +485,80 @@ TEST(ProvenanceResolve, WritersSharingANameShareOneModuleId) {
   EXPECT_EQ(prov.lanes[3].module_id, 2u);  // tap: nothing writes it
   EXPECT_EQ(prov.lanes[3].label, "tap");
   EXPECT_EQ(prov.lanes[4].module_id, 0u);  // a, written by the first "pe"
+  EXPECT_EQ(prov.lanes[4].label, "a");
+}
+
+// ----------------------------------------- capture is off the lowering ---
+
+/// A one-register array whose describe_ports and describe_environment
+/// count their calls.  It narrates its register and declares its name the
+/// way the shipped families do.
+class CountingArray {
+ public:
+  struct Result {
+    sim::Cycle cycles = 1;
+    std::uint64_t busy_steps = 0;
+  };
+
+  Result run(sim::Engine& engine) {
+    engine.add(reg_);
+    rec_ = engine.recorder();
+    if (rec_ != nullptr) rec_->declare_lane(&value_, reg_.name(), "value");
+    engine.step();
+    return {};
+  }
+  void describe_environment(sim::PortSet& ports) const {
+    ++environment_calls;
+    ports.reads_register(&value_, "value");
+  }
+
+  int describe_calls = 0;
+  mutable int environment_calls = 0;
+
+ private:
+  class Reg : public sim::Module {
+   public:
+    explicit Reg(CountingArray& arr) : Module("reg"), arr_(arr) {}
+    void eval(sim::Cycle) override {
+      if (arr_.rec_ != nullptr) {
+        arr_.rec_->bind_now(&arr_.value_, arr_.rec_->constant(arr_.value_));
+      }
+    }
+    void commit() override {}
+    void describe_ports(sim::PortSet& ports) const override {
+      ++arr_.describe_calls;
+      ports.writes_register(&arr_.value_, "value");
+    }
+
+   private:
+    CountingArray& arr_;
+  };
+
+  Cost value_ = 7;
+  sim::OpRecorder* rec_ = nullptr;
+  Reg reg_{*this};
+};
+
+TEST(ProvenanceResolve, LoweringNeverDescribesPorts) {
+  CountingArray arr;
+  const compile::Lowered low = compile::lower_array(arr);
+  EXPECT_EQ(arr.describe_calls, 0);
+  EXPECT_EQ(arr.environment_calls, 0);
+  // The lane is named all the same, from the declaration.
+  ASSERT_EQ(low.net.provenance.lanes.size(), 1u);
+  EXPECT_EQ(low.net.stats.named_lanes, 1u);
+  EXPECT_EQ(low.net.provenance.lanes[0].module, "reg");
+  EXPECT_EQ(low.net.provenance.lanes[0].label, "value");
+
+  // The counters work: a capture of a second instance describes it.
+  CountingArray probe;
+  sim::Engine engine;
+  (void)probe.run(engine);
+  analysis::CaptureOptions copts;
+  probe.describe_environment(copts.environment);
+  (void)analysis::capture(engine, copts);
+  EXPECT_EQ(probe.describe_calls, 1);
+  EXPECT_EQ(probe.environment_calls, 1);
 }
 
 }  // namespace

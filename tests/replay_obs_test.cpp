@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "arrays/design1_modular.hpp"
+#include "arrays/design2_modular.hpp"
 #include "arrays/triangular_array.hpp"
 #include "arrays/triangular_modular.hpp"
 #include "analysis/tape_verify.hpp"
@@ -135,26 +137,34 @@ TEST(ReplayProvenance, LoweredDesignsCarryVerifiedProvenance) {
     Rng rng(7);
     const ChainRule rule(random_chain_dims(5, rng));
     TriangularModularArray<ChainRule> arr(rule, rule.num_matrices());
-    // The chain triangle narrates arena cost lanes; describe_ports
-    // declares link flits — no lane resolves to a name, and that is the
-    // documented contract.
-    check(compile::lower_array(arr), "triangular-chain", false);
+    // The triangle narrates each cell's value m(i, j) and names it
+    // cell[i,j] in the cell's module.
+    check(compile::lower_array(arr), "triangular-chain", true);
   }
   {
     std::vector<Cost> costs{3, 1, 4, 1, 5, 9};
     const BstRule rule(costs);
     TriangularModularArray<BstRule> arr(rule, rule.num_keys());
-    check(compile::lower_array(arr), "triangular-bst", false);
+    check(compile::lower_array(arr), "triangular-bst", true);
+  }
+  {
+    const auto [mats, v] = string_instance(2, 4, 5);
+    Design2Modular arr(mats, v);
+    // Design 2's accumulators have no port, so their lanes stay unnamed;
+    // the S registers and snapshots are named.
+    check(compile::lower_array(arr), "design2", true);
   }
 }
 
 // ---------------------------------------------------------------------------
 // Waveform name parity with the interpreted run
 
-TEST(ReplayVcd, SignalNamesAreASubsetOfTheInterpretedDocument) {
-  const auto [mats, v] = string_instance(3, 6, 42);
-
-  Design1Modular interp_arr(mats, v);
+/// Run `make()` interpreted with a VcdSink and lower a twin: every signal
+/// the compiled VCD renders must also be in the interpreted document.
+template <typename Make>
+void expect_vcd_names_subset(const char* what, Make make) {
+  SCOPED_TRACE(what);
+  auto interp_arr = make();
   sim::Engine engine;
   obs::VcdSink interp_vcd("sysdp");
   engine.add_observer(&interp_vcd);
@@ -164,7 +174,7 @@ TEST(ReplayVcd, SignalNamesAreASubsetOfTheInterpretedDocument) {
   const std::set<std::string> interp_set(interp_names.begin(),
                                          interp_names.end());
 
-  Design1Modular arr(mats, v);
+  auto arr = make();
   const auto low = compile::lower_array(arr);
   compile::CompiledEngine ce(low.net);
   obs::ReplayVcdSink vcd("sysdp");
@@ -178,6 +188,23 @@ TEST(ReplayVcd, SignalNamesAreASubsetOfTheInterpretedDocument) {
   }
   // The header declares exactly the probes the sink reports.
   EXPECT_EQ(vcd_var_names(vcd.str()), vcd.signal_names());
+}
+
+TEST(ReplayVcd, SignalNamesAreASubsetOfTheInterpretedDocument) {
+  const auto [mats, v] = string_instance(3, 6, 42);
+  expect_vcd_names_subset("design1", [&] { return Design1Modular(mats, v); });
+  // The triangles render one cell[i,j] signal per cell.
+  expect_vcd_names_subset("triangular-chain", [] {
+    return TriangularModularArray<ChainRule>(ChainRule({5, 3, 8, 2, 6, 4}),
+                                             5);
+  });
+  expect_vcd_names_subset("triangular-bst", [] {
+    return TriangularModularArray<BstRule>(BstRule({3, 1, 4, 1, 5}), 5);
+  });
+  expect_vcd_names_subset("triangular-polygon", [] {
+    return TriangularModularArray<PolygonRule>(
+        PolygonRule({2, 4, 3, 5, 1, 6}), 6);
+  });
 }
 
 TEST(ReplayVcd, DocumentIsByteIdenticalAcrossBatchWidths) {
@@ -243,22 +270,78 @@ TEST(ReplayTimeline, AggregateEqualsOpsExecuted) {
   EXPECT_TRUE(balanced_json(timeline.to_json()));
 }
 
+/// Replay `net` with a timeline attached.
+std::unique_ptr<obs::ReplayTimelineSink> replay_timeline(
+    const compile::CompiledNetlist& net, std::uint64_t& ops_executed) {
+  compile::CompiledEngine ce(net);
+  auto timeline = std::make_unique<obs::ReplayTimelineSink>();
+  ce.add_observer(timeline.get());
+  ce.run_all();
+  timeline->finalize();
+  ops_executed = ce.result().ops_executed;
+  return timeline;
+}
+
+/// Busy total of each timeline row.
+std::vector<std::uint64_t> row_totals(const obs::ReplayTimelineSink& t) {
+  std::vector<std::uint64_t> out;
+  for (const auto& row : t.timeline().per_pe()) {
+    std::uint64_t sum = 0;
+    for (const std::uint64_t x : row) sum += x;
+    out.push_back(sum);
+  }
+  return out;
+}
+
 TEST(ReplayTimeline, UnattributedOpsLandOnTheirOwnRow) {
+  // Design 2's MACs are first captured by the accumulator, which has no
+  // port: its lanes stay unnamed, so its ops carry no module.
+  const auto [mats, v] = string_instance(2, 4, 5);
+  Design2Modular arr(mats, v);
+  const auto low = compile::lower_array(arr);
+  const compile::Provenance& prov = low.net.provenance;
+  std::uint64_t unattributed = 0;
+  for (std::uint64_t i = 0; i < low.net.num_ops(); ++i) {
+    unattributed += prov.module_of_op(i) == compile::Provenance::kNone;
+  }
+  ASSERT_GT(unattributed, 0u);
+
+  std::uint64_t ops = 0;
+  const auto timeline = replay_timeline(low.net, ops);
+  // The sink adds the single "(unattributed)" row after the module rows,
+  // and the aggregate still balances.
+  ASSERT_EQ(timeline->pe_names().size(), prov.modules.size() + 1);
+  EXPECT_EQ(timeline->pe_names().back(), "(unattributed)");
+  EXPECT_EQ(row_totals(*timeline).back(), unattributed);
+  EXPECT_EQ(timeline->aggregate_busy(), ops);
+}
+
+TEST(ReplayTimeline, TriangleHasOneRowPerCellModule) {
   Rng rng(7);
   const ChainRule rule(random_chain_dims(4, rng));
-  TriangularModularArray<ChainRule> arr(rule, rule.num_matrices());
+  const std::size_t n = rule.num_matrices();
+  TriangularModularArray<ChainRule> arr(rule, n);
   const auto low = compile::lower_array(arr);
+  const compile::Provenance& prov = low.net.provenance;
 
-  compile::CompiledEngine ce(low.net);
-  obs::ReplayTimelineSink timeline;
-  ce.add_observer(&timeline);
-  ce.run_all();
-  timeline.finalize();
-
-  // Every chain-triangle op is unattributed (no named lanes), so the sink
-  // adds the single "(unattributed)" row and the aggregate still balances.
-  EXPECT_EQ(timeline.pe_names().back(), "(unattributed)");
-  EXPECT_EQ(timeline.aggregate_busy(), ce.result().ops_executed);
+  std::uint64_t ops = 0;
+  const auto timeline = replay_timeline(low.net, ops);
+  // Every op is attributed to the cell that folds it: one PE row per cell
+  // module t<i>_<j>, no "(unattributed)" row, and each row's busy total is
+  // its cell's fold count.
+  EXPECT_EQ(timeline->pe_names(), prov.modules);
+  EXPECT_EQ(prov.modules.size(), n * (n + 1) / 2);
+  std::vector<std::uint64_t> folds(prov.modules.size(), 0);
+  for (std::uint64_t i = 0; i < low.net.num_ops(); ++i) {
+    ASSERT_LT(prov.module_of_op(i), folds.size());
+    ++folds[prov.module_of_op(i)];
+  }
+  const std::vector<std::uint64_t> rows = row_totals(*timeline);
+  EXPECT_EQ(rows, folds);
+  std::uint64_t sum = 0;
+  for (const std::uint64_t r : rows) sum += r;
+  EXPECT_EQ(sum, ops);
+  EXPECT_EQ(timeline->aggregate_busy(), ops);
 }
 
 TEST(ReplayTimeline, TimelineAccessBeforeAnyReplayThrows) {

@@ -39,7 +39,13 @@ class TapeHasher {
   std::uint64_t h_ = 1469598103934665603ull;
 };
 
-inline std::uint64_t tape_digest(const compile::CompiledNetlist& net) {
+/// With `names` false the digest skips the lane names — the module table,
+/// each lane's module, label, module id and named flag, and
+/// TapeStats::named_lanes — and still hashes everything else, the lane
+/// count, bind events and op attribution included: two tapes with equal
+/// name-blind digests differ at most in how their lanes are named.
+inline std::uint64_t tape_digest(const compile::CompiledNetlist& net,
+                                 bool names = true) {
   TapeHasher h;
   h.add(net.semiring);
   h.add(net.num_slots);
@@ -73,14 +79,18 @@ inline std::uint64_t tape_digest(const compile::CompiledNetlist& net) {
   h.add(net.params.size());
   for (const auto p : net.params) h.add(p);
   const auto& prov = net.provenance;
-  h.add(prov.modules.size());
-  for (const auto& m : prov.modules) h.add(m);
+  if (names) {
+    h.add(prov.modules.size());
+    for (const auto& m : prov.modules) h.add(m);
+  }
   h.add(prov.lanes.size());
-  for (const auto& lane : prov.lanes) {
-    h.add(lane.module);
-    h.add(lane.label);
-    h.add(lane.module_id);
-    h.add(lane.named);
+  if (names) {
+    for (const auto& lane : prov.lanes) {
+      h.add(lane.module);
+      h.add(lane.label);
+      h.add(lane.module_id);
+      h.add(lane.named);
+    }
   }
   h.add(prov.binds.size());
   for (const auto& b : prov.binds) {
@@ -92,9 +102,10 @@ inline std::uint64_t tape_digest(const compile::CompiledNetlist& net) {
   for (const auto l : prov.op_lane) h.add(l);
   const auto& st = net.stats;
   for (const std::uint64_t x :
-       {st.copies_elided, st.consts_interned, st.lanes_bound, st.named_lanes,
-        st.oracle_active_evals, st.oracle_dense_evals, st.oracle_busy_steps,
-        st.slots_uncompacted, st.ops_pruned, st.levels_fused}) {
+       {st.copies_elided, st.consts_interned, st.lanes_bound,
+        names ? st.named_lanes : 0, st.oracle_active_evals,
+        st.oracle_dense_evals, st.oracle_busy_steps, st.slots_uncompacted,
+        st.ops_pruned, st.levels_fused}) {
     h.add(x);
   }
   h.add(st.compacted);

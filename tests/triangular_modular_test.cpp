@@ -278,77 +278,134 @@ TEST(TriangularModular, SharedOriginsAllMatch) {
   }
 }
 
-// Lower rule `which` ("bst", "polygon", "chain") at size n under `opt`.
+// Lower rule `which` ("bst", "polygon", "chain") at size n under `opt`;
+// the digest covers the lane names unless `names` is false.
 std::uint64_t lowered_digest(const std::string& which, std::size_t n,
-                             const compile::LowerOptions& opt) {
+                             const compile::LowerOptions& opt,
+                             bool names = true) {
   if (which == "bst") {
     TriangularModularArray<BstRule> arr(BstRule(make_costs(n, 3 * n + 1)), n);
-    return golden::tape_digest(compile::lower_array(arr, opt).net);
+    return golden::tape_digest(compile::lower_array(arr, opt).net, names);
   }
   if (which == "polygon") {
     TriangularModularArray<PolygonRule> arr(
         PolygonRule(make_costs(n, 3 * n + 2)), n);
-    return golden::tape_digest(compile::lower_array(arr, opt).net);
+    return golden::tape_digest(compile::lower_array(arr, opt).net, names);
   }
   TriangularModularArray<ChainRule> arr(ChainRule(make_costs(n + 1, 3 * n)),
                                         n);
-  return golden::tape_digest(compile::lower_array(arr, opt).net);
+  return golden::tape_digest(compile::lower_array(arr, opt).net, names);
 }
+
+struct Golden {
+  const char* rule;
+  std::size_t n;
+  int optimize;
+  bool parameterise;
+  std::uint64_t digest;
+};
 
 // Golden all-field digests of the lowered chain / BST / polygon tapes.
 // The matching and table layout of the interpreted array may change; the
-// tapes it narrates may not, byte for byte.
+// tapes it narrates may not, byte for byte.  Every lane is named after
+// its cell: cell[i,j] in module t<i>_<j>.
 TEST(TriangularModular, LoweredTapesMatchGoldenDigests) {
-  struct Golden {
-    const char* rule;
-    std::size_t n;
-    int optimize;
-    bool parameterise;
-    std::uint64_t digest;
-  };
   const Golden golden[] = {
-      {"bst", 8, 0, false, 0x01bac1590562247aull},
-      {"bst", 8, 0, true, 0xd1581773aad08b39ull},
-      {"bst", 8, 2, false, 0xae9b0710ad19052cull},
-      {"bst", 8, 2, true, 0x84ab9684abd91667ull},
-      {"bst", 24, 0, false, 0x367f5e3e10974138ull},
-      {"bst", 24, 0, true, 0x1ffacd85d5f7b0cfull},
-      {"bst", 24, 2, false, 0x4ba70aa57c294f61ull},
-      {"bst", 24, 2, true, 0x2c636d7e5b209f86ull},
-      {"bst", 48, 0, false, 0xf811318f2c954fc5ull},
-      {"bst", 48, 0, true, 0x7169216f95622248ull},
-      {"bst", 48, 2, false, 0x0f5734986838bba2ull},
-      {"bst", 48, 2, true, 0xdfc8515b438cbc17ull},
-      {"polygon", 8, 0, false, 0x25362daf84b17eedull},
-      {"polygon", 8, 0, true, 0x69df677fe82e0d5eull},
-      {"polygon", 8, 2, false, 0xcf83fea45fa79dc6ull},
-      {"polygon", 8, 2, true, 0x706dc891de42af41ull},
-      {"polygon", 24, 0, false, 0x9f10d34a0bfdc24dull},
-      {"polygon", 24, 0, true, 0x750f2599e728dd80ull},
-      {"polygon", 24, 2, false, 0xc58b72aece8c66b1ull},
-      {"polygon", 24, 2, true, 0x0454928c7d5431b4ull},
-      {"polygon", 48, 0, false, 0x9a95e12b64763374ull},
-      {"polygon", 48, 0, true, 0x91e1792f2788573full},
-      {"polygon", 48, 2, false, 0x22b9998e53557711ull},
-      {"polygon", 48, 2, true, 0x9d48cb81dbc8cca6ull},
-      {"chain", 8, 0, false, 0x52687e44d215e362ull},
-      {"chain", 8, 0, true, 0xed39e1fe634d870eull},
-      {"chain", 8, 2, false, 0x2fe27c7e2bf31e12ull},
-      {"chain", 8, 2, true, 0x196ed7ce3381a22aull},
-      {"chain", 24, 0, false, 0xe2cd9b48c65bca5dull},
-      {"chain", 24, 0, true, 0xbdd2f5c2072dd98eull},
-      {"chain", 24, 2, false, 0x1ecec0a3dbf42399ull},
-      {"chain", 24, 2, true, 0xa5c2fc4de9b5772aull},
-      {"chain", 48, 0, false, 0xe23ef7bb09d3bbfaull},
-      {"chain", 48, 0, true, 0x3054729fbd07436dull},
-      {"chain", 48, 2, false, 0x09ef96051e2425e2ull},
-      {"chain", 48, 2, true, 0x5522f6703eb2f3fdull},
+      {"bst", 8, 0, false, 0xa4c871cedf7ea1b2ull},
+      {"bst", 8, 0, true, 0x5531a7fc0c9cbce5ull},
+      {"bst", 8, 2, false, 0xaf5909f1b98ebe84ull},
+      {"bst", 8, 2, true, 0x8f348209bf34f77bull},
+      {"bst", 24, 0, false, 0x2c6b7aea1f06bc48ull},
+      {"bst", 24, 0, true, 0xcca275d01638d463ull},
+      {"bst", 24, 2, false, 0x94ae1cf7739ca431ull},
+      {"bst", 24, 2, true, 0x5f14f772b0318aeaull},
+      {"bst", 48, 0, false, 0x0af3ed935583a929ull},
+      {"bst", 48, 0, true, 0xad58111432f24524ull},
+      {"bst", 48, 2, false, 0x1890479b03b300b6ull},
+      {"bst", 48, 2, true, 0x358f8112dcbc1ae3ull},
+      {"polygon", 8, 0, false, 0x1df193f16552a1adull},
+      {"polygon", 8, 0, true, 0xa7c2581e1fb71702ull},
+      {"polygon", 8, 2, false, 0x1776c9722941344aull},
+      {"polygon", 8, 2, true, 0x29e4f982dc72abb1ull},
+      {"polygon", 24, 0, false, 0x439a291104d386f1ull},
+      {"polygon", 24, 0, true, 0x7690f7e3698e6808ull},
+      {"polygon", 24, 2, false, 0x807585708d6c5e55ull},
+      {"polygon", 24, 2, true, 0x139cad0d4d5cc9dcull},
+      {"polygon", 48, 0, false, 0x71bba4dda13a9274ull},
+      {"polygon", 48, 0, true, 0xc0669ae4648f8807ull},
+      {"polygon", 48, 2, false, 0xf32076a90cdd3815ull},
+      {"polygon", 48, 2, true, 0xd04149c3af8f9ee2ull},
+      {"chain", 8, 0, false, 0x53eaec3db416e9f6ull},
+      {"chain", 8, 0, true, 0x58f972e2aa4cb932ull},
+      {"chain", 8, 2, false, 0xe6387b57121859baull},
+      {"chain", 8, 2, true, 0xbc29e1418550ca92ull},
+      {"chain", 24, 0, false, 0xa18da752538c8cd9ull},
+      {"chain", 24, 0, true, 0x6da502d93618543eull},
+      {"chain", 24, 2, false, 0x2353a91e402dfeb9ull},
+      {"chain", 24, 2, true, 0x0f0653987029ff96ull},
+      {"chain", 48, 0, false, 0x7e7b981cfa08b3feull},
+      {"chain", 48, 0, true, 0x051bac2b5375f745ull},
+      {"chain", 48, 2, false, 0x09f94fd6e96a81ceull},
+      {"chain", 48, 2, true, 0x67c6d59f19ab6b7dull},
   };
   for (const Golden& g : golden) {
     compile::LowerOptions opt;
     opt.optimize = g.optimize;
     opt.parameterise = g.parameterise;
     EXPECT_EQ(lowered_digest(g.rule, g.n, opt), g.digest)
+        << g.rule << " n=" << g.n << " opt=" << g.optimize
+        << " parameterise=" << g.parameterise;
+  }
+}
+
+// The same tapes with the lane names left out of the digest.  These
+// values were recorded before the cells declared their value lanes, when
+// no triangle lane had a name: naming moved the digests above and nothing
+// else — same ops, levels, slots, outputs, binds and op attribution.
+TEST(TriangularModular, LoweredTapesMatchNameBlindGoldens) {
+  const Golden golden[] = {
+      {"bst", 8, 0, false, 0xa8d9c242e91c7c72ull},
+      {"bst", 8, 0, true, 0xe4b177e1ef863e2dull},
+      {"bst", 8, 2, false, 0xc071f4be20177a5cull},
+      {"bst", 8, 2, true, 0x7ce6804aee78d77bull},
+      {"bst", 24, 0, false, 0x92c269d52216ac02ull},
+      {"bst", 24, 0, true, 0x0373f418e32e2ba5ull},
+      {"bst", 24, 2, false, 0x17f12ded97526743ull},
+      {"bst", 24, 2, true, 0x40acc506c8ce04dcull},
+      {"bst", 48, 0, false, 0x209b834e10a4b1e9ull},
+      {"bst", 48, 0, true, 0x19e259f830e4a050ull},
+      {"bst", 48, 2, false, 0x3e91911aa3d3c86aull},
+      {"bst", 48, 2, true, 0x1f99f926678d8a9bull},
+      {"polygon", 8, 0, false, 0xee723296ae47a601ull},
+      {"polygon", 8, 0, true, 0x8ed841772d67da2eull},
+      {"polygon", 8, 2, false, 0xbe175b21db22faf6ull},
+      {"polygon", 8, 2, true, 0xed0645a91e2f5245ull},
+      {"polygon", 24, 0, false, 0xb6ce7d3e3a6a45dbull},
+      {"polygon", 24, 0, true, 0x44885f4d200db20aull},
+      {"polygon", 24, 2, false, 0x08379208f9480c4full},
+      {"polygon", 24, 2, true, 0x5bbe5d133d2e5f9eull},
+      {"polygon", 48, 0, false, 0x5c9d9252d70413a8ull},
+      {"polygon", 48, 0, true, 0x40c82eb75b0569b7ull},
+      {"polygon", 48, 2, false, 0x8187a8e4595fd185ull},
+      {"polygon", 48, 2, true, 0x6d7e08be0eff9166ull},
+      {"chain", 8, 0, false, 0x8c346d9cee8c4e56ull},
+      {"chain", 8, 0, true, 0x8a50b9a5c2756802ull},
+      {"chain", 8, 2, false, 0x7ce00a40674ef2baull},
+      {"chain", 8, 2, true, 0x68efba3778fba612ull},
+      {"chain", 24, 0, false, 0x4b68df268e7e4307ull},
+      {"chain", 24, 0, true, 0x362b9cc4efcb9c1cull},
+      {"chain", 24, 2, false, 0x0040150253de593bull},
+      {"chain", 24, 2, true, 0xad290bc11c496b28ull},
+      {"chain", 48, 0, false, 0x45f3d598cd2711e6ull},
+      {"chain", 48, 0, true, 0x8507d51cad0d094dull},
+      {"chain", 48, 2, false, 0xb8f5f729b924c48aull},
+      {"chain", 48, 2, true, 0xfff2409c15609649ull},
+  };
+  for (const Golden& g : golden) {
+    compile::LowerOptions opt;
+    opt.optimize = g.optimize;
+    opt.parameterise = g.parameterise;
+    EXPECT_EQ(lowered_digest(g.rule, g.n, opt, /*names=*/false), g.digest)
         << g.rule << " n=" << g.n << " opt=" << g.optimize
         << " parameterise=" << g.parameterise;
   }
