@@ -33,10 +33,10 @@
 // compiled tape must replay at least 3x faster than the interpreted dense
 // serial run on two or more families, else the binary exits nonzero.
 //
-// The compiled_batch_throughput section measures the batched executor
-// (compile::BatchedCompiledEngine): one parameterised lowering per family,
-// replayed across B lanes at once, against B independent single-lane
-// CompiledEngine replays.  Its gate: per-instance throughput at B >= 8
+// The compiled_batch_throughput section measures batched replay
+// (compile::CompiledEngine at B lanes): one parameterised lowering per
+// family, replayed across B lanes at once, against B independent
+// single-lane replays.  Its gate: per-instance throughput at B >= 8
 // must be at least 2x the single-lane replay on two or more families.
 // Each family also runs a rebind loop — 128 randomly re-weighted
 // instances through the ONE lowering, no re-lowering — demonstrating the
@@ -72,7 +72,6 @@
 #include "arrays/graph_adapter.hpp"
 #include "arrays/triangular_array.hpp"
 #include "arrays/triangular_modular.hpp"
-#include "compile/batch_engine.hpp"
 #include "compile/engine.hpp"
 #include "compile/lower.hpp"
 #include "graph/generators.hpp"
@@ -481,8 +480,8 @@ std::vector<CompiledSample> measure_compiled(
 // ------------------------------------------------ batched compiled --------
 
 /// One family's batched-replay measurement: a single parameterised
-/// lowering, timed single-lane (CompiledEngine) and at B in {8, 16}
-/// (BatchedCompiledEngine), plus a rebind loop that pushes 128 randomly
+/// lowering, timed single-lane and at B in {8, 16} lanes of
+/// CompiledEngine, plus a rebind loop that pushes 128 randomly
 /// re-weighted instances through the same tape without re-lowering.
 struct CompiledBatchSample {
   std::string name;
@@ -545,7 +544,7 @@ CompiledBatchSample measure_compiled_batch_one(const char* name,
   });
 
   const auto batch_time = [&](std::uint32_t b) {
-    compile::BatchedCompiledEngine be(low.net, b);
+    compile::CompiledEngine be(low.net, b);
     be.run_all();
     for (std::uint32_t lane = 0; lane < b; ++lane) {
       if (be.verify_outputs(lane).found) {
@@ -571,7 +570,7 @@ CompiledBatchSample measure_compiled_batch_one(const char* name,
   {
     constexpr std::uint32_t kLanes = 8;
     constexpr std::uint32_t kBatches = 16;
-    compile::BatchedCompiledEngine be(low.net, kLanes);
+    compile::CompiledEngine be(low.net, kLanes);
     Rng rng(0xb1d5 + s.num_ops);
     std::uniform_int_distribution<Cost> wdist(1, 40);
     std::vector<std::vector<Cost>> tables(
@@ -584,7 +583,7 @@ CompiledBatchSample measure_compiled_batch_one(const char* name,
     sim::WallTimer wt;
     for (std::uint32_t batch = 0; batch < kBatches; ++batch) {
       for (std::uint32_t lane = 0; lane < kLanes; ++lane) {
-        be.bind(lane, tables[std::size_t{batch} * kLanes + lane]);
+        be.bind(tables[std::size_t{batch} * kLanes + lane], lane);
       }
       be.reset();
       be.run_all();

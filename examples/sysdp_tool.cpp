@@ -33,7 +33,6 @@
 #include "arrays/graph_adapter.hpp"
 #include "arrays/triangular_array.hpp"
 #include "arrays/triangular_modular.hpp"
-#include "compile/batch_engine.hpp"
 #include "compile/engine.hpp"
 #include "compile/lower.hpp"
 #include "compile/profile.hpp"
@@ -200,8 +199,8 @@ std::string batched_replay(const compile::Lowered& low, std::uint64_t n) {
   const auto verified = runner.run_chunks(
       static_cast<std::size_t>(n), kWidth,
       [&](std::size_t, std::size_t count) {
-        compile::BatchedCompiledEngine be(low.net,
-                                          static_cast<std::uint32_t>(count));
+        compile::CompiledEngine be(low.net,
+                                   static_cast<std::uint32_t>(count));
         be.run_all();
         for (std::uint32_t l = 0; l < be.lanes(); ++l) {
           if (be.verify_outputs(l).found) {

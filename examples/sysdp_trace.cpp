@@ -62,7 +62,6 @@
 #include <vector>
 
 #include "analysis/tape_verify.hpp"
-#include "compile/batch_engine.hpp"
 #include "compile/engine.hpp"
 #include "compile/lower.hpp"
 #include "compile/profile.hpp"
@@ -228,7 +227,7 @@ bool trace_design_compiled(const examples::DesignSpec& spec,
     replay.reset();
     replay.run_all();
   }
-  compile::BatchedCompiledEngine batched(low.net, 4);
+  compile::CompiledEngine batched(low.net, 4);
   batched.add_observer(&profiler);
   batched.run_all();
   profiler.finish();

@@ -630,7 +630,7 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
                            kind_name(dop.kind) + " feeding " +
                            kind_name(op.kind) +
                            ") — the reorder pass cannot group this level "
-                           "kind-major, so the batched executor replays it "
+                           "kind-major, so the executor replays it "
                            "in short mixed-kind runs",
                        Severity::kWarning);
           }

@@ -3,22 +3,23 @@
 // The recorder emits SSA: every op writes a fresh slot, so the slot file
 // scales with the op count (one 96-wide family lowers to ~150k slots ≈
 // 1.2 MB).  A single-lane replay tolerates that — the file stays resident
-// across replays — but the batched executor multiplies it by B lanes
-// (compile/batch_engine.hpp), and ~10 MB of lane-major slot traffic per
-// replay turns a compute problem into a DRAM-bandwidth problem.
+// across replays — but a B-lane replay multiplies it by B
+// (compile/engine.hpp), and ~10 MB of lane-major slot traffic per replay
+// turns a compute problem into a DRAM-bandwidth problem.
 //
 // compact_slots() renames slots by linear-scan reuse: a slot whose last
 // touch (read or write) is in dependency level t is dead from level t+1
 // on, and its physical index can be handed to a later op's destination.
 // The live set of the paper designs is bounded by the array's registers,
 // not the run length, so the slot file shrinks by orders of magnitude and
-// every engine's working set — scalar or batched — becomes cache-sized.
+// the executor's working set — at any lane count — becomes cache-sized.
 //
 // Reuse is level-granular on purpose: a freed index is reallocated only in
 // a strictly later level than its last touch, so any in-level reordering
-// that preserves same-level RAW chains (the batch executor's kind-major
+// that preserves same-level RAW chains (the optimizer's kind-major
 // partition) stays sound — no write in level t can clobber a value still
-// read in level t.
+// read in level t, and checked replay can sweep a level's destinations
+// after the whole level ran.
 //
 // kRelax ops address slot pairs (dst/dst+1, a/a+1), so paired slots move
 // as one contiguous group.  Output slots are pinned — they must survive to

@@ -1,12 +1,14 @@
-// Branchless lane arithmetic for the SIMD-batched executor.
+// Branchless lane arithmetic for the compiled executor's wide kernels.
 //
-// BatchedCompiledEngine replays one op tape over B lanes with the slot
-// file laid out lane-major; its hot loops are built from these
+// CompiledEngine replays one op tape over B lanes with the slot file laid
+// out lane-major; at widths above 1 its hot loops are built from these
 // primitives: a mask-select (`sel`) the vectoriser cannot jump-thread, a
 // branchless saturating add bit-identical to sysdp::sat_add, and the
 // weight-class lift that moves lane-invariant sentinel compares out of
-// the lane loop.  The lane-exactness suites depend on these being
-// bit-identical to the scalar kernels.
+// the lane loop.  The width-1 kernel uses sat_add itself, so a lane of a
+// wide replay equals a width-1 replay only because these are
+// bit-identical to it: LaneMath.* pins that on the boundary values and
+// the lane-exactness suites pin it on whole replays.
 //
 // Also hosts the shared codegen macros: SYSDP_LANE_IVDEP asserts the
 // independence SSA destinations guarantee but the compiler cannot prove

@@ -185,7 +185,7 @@ struct CompiledNetlist {
   std::uint32_t num_slots = 0;
   std::vector<SlotInit> init;
   /// Cycle-major, oracle program order inside a cycle.  Cache-line aligned:
-  /// the batch executor streams the tape with wide loads.
+  /// the executor streams the tape with wide loads.
   AlignedVec<Op> ops;
   /// CSR dependency levels: cycle t executes ops [cycle_off[t],
   /// cycle_off[t+1]).  Size = cycles + 1; most levels are empty in gated

@@ -1,7 +1,7 @@
 // Level-granular replay hooks for the compiled executors.
 //
 // The compiled backend's analogue of sim::EngineObserver: an observer
-// attached to a CompiledEngine / BatchedCompiledEngine hears the replay at
+// attached to a CompiledEngine, at any lane count, hears the replay at
 // dependency-level granularity — one on_level per level, carrying the op
 // span the level executed and the live slot image.  The contract is
 // pay-for-use: a detached engine pays exactly one `observers_.empty()`
@@ -23,12 +23,12 @@
 namespace sysdp::compile {
 
 /// Activity accounting of one replay — the compiled counterpart of the
-/// interpreted RunResult fields bench_all reports.  For the batched
-/// engine every count is in op-lane executions (ops × lanes), consistent
-/// with its ops_executed accounting.
+/// interpreted RunResult fields bench_all reports.  Every count is in
+/// op-lane executions (ops × lanes), consistent with the engine's
+/// ops_executed accounting.
 struct ReplayResult {
   sim::Cycle cycles = 0;          ///< levels stepped (now())
-  std::uint32_t lanes = 1;        ///< batch width (1 for CompiledEngine)
+  std::uint32_t lanes = 1;        ///< batch width B
   std::uint64_t ops_executed = 0;
   std::uint64_t levels_executed = 0;  ///< non-empty levels actually run
   std::uint64_t levels_skipped = 0;   ///< empty levels bypassed by run()
@@ -56,8 +56,8 @@ class ReplayObserver {
   virtual ~ReplayObserver() = default;
 
   /// A replay starts: the engine sits at cycle 0 with the initial slot
-  /// image loaded.  `slots` is the lane-major slot file (lanes == 1 for
-  /// the scalar engine), borrowed for the duration of the call.
+  /// image loaded.  `slots` is the lane-major slot file
+  /// (`slots[slot*lanes + lane]`), borrowed for the duration of the call.
   virtual void on_replay_begin(const CompiledNetlist& net, const Cost* slots,
                                std::uint32_t lanes) {
     (void)net;

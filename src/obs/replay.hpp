@@ -1,5 +1,5 @@
 // Compiled-replay telemetry adapters: waveforms, timelines and profiles
-// for CompiledEngine / BatchedCompiledEngine runs.
+// for CompiledEngine runs at any lane count.
 //
 // The interpreted engine's sinks (obs/vcd.hpp, obs/timeline.hpp) observe a
 // sim::Engine; the compiled backend has no modules or ports left to walk —

@@ -62,8 +62,8 @@ class BatchRunner {
   /// Run `chunk(first, count)` over ⌈n/width⌉ contiguous chunks of
   /// [0, n) — every chunk is `width` jobs except a possibly-short tail —
   /// and return the chunk results in chunk-index order.  This is the lane
-  /// path for SIMD-batched executors (compile::BatchedCompiledEngine):
-  /// each chunk becomes one batched replay of `count` lanes on one pool
+  /// path for SIMD-batched executors (compile::CompiledEngine with
+  /// `count` lanes): each chunk becomes one batched replay on one pool
   /// lane, so pool parallelism multiplies with in-chunk vectorisation
   /// instead of competing with it.
   template <typename Fn>

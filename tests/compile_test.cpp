@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -16,8 +17,8 @@
 #include "arrays/design3_modular.hpp"
 #include "arrays/triangular_array.hpp"
 #include "arrays/triangular_modular.hpp"
-#include "compile/batch_engine.hpp"
 #include "compile/engine.hpp"
+#include "compile/lane_math.hpp"
 #include "compile/lower.hpp"
 #include "compile/optimize.hpp"
 #include "compile/program.hpp"
@@ -417,7 +418,7 @@ TEST(CompiledBatch, SingleLaneMatchesScalarEngine) {
 
   compile::CompiledEngine ce(low.net);
   ce.run_all();
-  compile::BatchedCompiledEngine be(low.net, 1);
+  compile::CompiledEngine be(low.net, 1);
   EXPECT_EQ(be.lanes(), 1u);
   EXPECT_GT(be.kind_runs(), 0u);
   be.run_all();
@@ -431,7 +432,7 @@ TEST(CompiledBatch, SingleLaneMatchesScalarEngine) {
     EXPECT_EQ(be.output(out.tag, out.index, 0), out.expected);
   }
 
-  // Replays are repeatable, like the scalar engine's.
+  // Replays are repeatable at an explicit width too.
   be.reset();
   EXPECT_EQ(be.now(), 0u);
   be.run_all();
@@ -439,7 +440,7 @@ TEST(CompiledBatch, SingleLaneMatchesScalarEngine) {
 }
 
 TEST(CompiledBatch, MixedKindLevelRunsInTapeOrder) {
-  // One level holding mac, fold, mac in tape order: the batched engine
+  // One level holding mac, fold, mac in tape order: the engine
   // splits it at kind boundaries without reordering (3 runs), and only the
   // optimizer's reorder pass groups it kind-major (2 runs).
   compile::CompiledNetlist net;
@@ -457,7 +458,7 @@ TEST(CompiledBatch, MixedKindLevelRunsInTapeOrder) {
     EXPECT_FALSE(ce.run_all_checked().found);
     for (const std::uint32_t lanes : {1u, 8u}) {
       SCOPED_TRACE("B=" + std::to_string(lanes));
-      compile::BatchedCompiledEngine be(tape, lanes);
+      compile::CompiledEngine be(tape, lanes);
       EXPECT_EQ(be.kind_runs(), runs);
       be.run_all();
       for (std::uint32_t l = 0; l < lanes; ++l) {
@@ -484,9 +485,9 @@ TEST(CompiledBatch, PerLaneBindOnHandBuiltTape) {
   net.parameterised = true;
   net.params = {5};
 
-  compile::BatchedCompiledEngine be(net, 3);
-  be.bind(1, {1});
-  be.bind(2, {100});
+  compile::CompiledEngine be(net, 3);
+  be.bind({1}, 1);
+  be.bind({100}, 2);
   EXPECT_TRUE(be.oracle_bound(0));
   EXPECT_FALSE(be.oracle_bound(1));
   EXPECT_FALSE(be.oracle_bound(2));
@@ -514,20 +515,199 @@ TEST(CompiledBatch, ConstructorAndBindValidate) {
   net.cycle_off = {0, 1};
   net.expected = {9};
 
-  EXPECT_THROW(compile::BatchedCompiledEngine(net, 0), std::invalid_argument);
-  compile::BatchedCompiledEngine be(net, 2);
+  EXPECT_THROW(compile::CompiledEngine(net, 0), std::invalid_argument);
+  compile::CompiledEngine be(net, 2);
   // Not parameterised: bind refuses, oracle binding replays fine.
-  EXPECT_THROW(be.bind(0, {7}), std::invalid_argument);
+  EXPECT_THROW(be.bind({7}, 0), std::invalid_argument);
   be.run_all();
   EXPECT_EQ(be.value(2, 0), 9);
   EXPECT_EQ(be.value(2, 1), 9);
 
   net.parameterised = true;
   net.params = {5};
-  compile::BatchedCompiledEngine pe(net, 2);
-  EXPECT_THROW(pe.bind(2, {7}), std::invalid_argument);         // bad lane
-  EXPECT_THROW(pe.bind(0, {7, 8}), std::invalid_argument);      // bad length
+  compile::CompiledEngine pe(net, 2);
+  EXPECT_THROW(pe.bind({7}, 2), std::invalid_argument);         // bad lane
+  EXPECT_THROW(pe.bind({7, 8}, 0), std::invalid_argument);      // bad length
   EXPECT_THROW(pe.bind_oracle(5), std::invalid_argument);       // bad lane
+}
+
+
+TEST(CompiledBatch, LanePastTheWidthThrows) {
+  compile::CompiledNetlist net;
+  net.num_slots = 3;
+  net.init = {{0, 10}, {1, 4}};
+  net.ops = {{2, 0, 1, 0, 5, compile::OpKind::kMac, 0}};
+  net.cycle_off = {0, 1};
+  net.expected = {9};
+  net.outputs = {{"out", 0, 2, 9}};
+  net.parameterised = true;
+  net.params = {5};
+
+  for (const std::uint32_t lanes : {1u, 3u}) {
+    SCOPED_TRACE("B=" + std::to_string(lanes));
+    compile::CompiledEngine ce(net, lanes);
+    ce.run_all();
+    EXPECT_TRUE(ce.oracle_bound(lanes - 1));
+    EXPECT_FALSE(ce.verify_outputs(lanes - 1).found);
+    EXPECT_EQ(ce.output("out", 0, lanes - 1), 9);
+    EXPECT_THROW((void)ce.oracle_bound(lanes), std::out_of_range);
+    EXPECT_THROW((void)ce.verify_outputs(lanes), std::out_of_range);
+    EXPECT_THROW((void)ce.output("out", 0, lanes), std::out_of_range);
+  }
+}
+
+// ------------------------------------------------------- checked replay ---
+
+/// Corrupt op `i`'s recorded oracle value and require checked replay at
+/// width `lanes` to report exactly that op: its index, the value the
+/// kernel really computed, the corrupted expectation and the op's
+/// provenance (empty unless its lane is named), stopping right after the
+/// op's level whether driven by run_all_checked or by step_checked.
+void expect_checked_replay_names_op(const compile::CompiledNetlist& clean,
+                                    std::uint64_t i, std::uint32_t lanes) {
+  SCOPED_TRACE("op " + std::to_string(i) + " B=" + std::to_string(lanes));
+  compile::CompiledNetlist net = clean;
+  const Cost truth = net.expected[i];
+  net.expected[i] = truth == 0 ? 1 : -truth;
+  std::string module;
+  std::string label;
+  const std::uint32_t pl = net.provenance.op_lane[i];
+  if (pl != compile::Provenance::kNone && net.provenance.lanes[pl].named) {
+    module = net.provenance.lanes[pl].module;
+    label = net.provenance.lanes[pl].label;
+  }
+  const sim::Cycle level = net.level_of_op(i);
+
+  compile::CompiledEngine ce(net, lanes);
+  const compile::Divergence d = ce.run_all_checked();
+  ASSERT_TRUE(d.found);
+  EXPECT_EQ(d.index, i);
+  EXPECT_EQ(d.got, truth);
+  EXPECT_EQ(d.expected, net.expected[i]);
+  EXPECT_EQ(d.module, module);
+  EXPECT_EQ(d.label, label);
+  EXPECT_EQ(ce.now(), level + 1);
+
+  compile::CompiledEngine stepper(net, lanes);
+  for (sim::Cycle t = 0; t < level; ++t) {
+    ASSERT_FALSE(stepper.step_checked().found) << "level " << t;
+  }
+  const compile::Divergence sd = stepper.step_checked();
+  ASSERT_TRUE(sd.found);
+  EXPECT_EQ(sd.index, i);
+  EXPECT_EQ(sd.got, truth);
+  EXPECT_EQ(sd.module, module);
+  EXPECT_EQ(sd.label, label);
+}
+
+/// First op at or after the tape's midpoint whose lane is named (or, with
+/// `named` false, unnamed).
+std::uint64_t pick_op(const compile::CompiledNetlist& net, bool named) {
+  const compile::Provenance& prov = net.provenance;
+  for (std::uint64_t i = net.num_ops() / 2; i < net.num_ops(); ++i) {
+    const std::uint32_t pl = prov.op_lane[i];
+    const bool is_named =
+        pl != compile::Provenance::kNone && prov.lanes[pl].named;
+    if (is_named == named) return i;
+  }
+  ADD_FAILURE() << "no " << (named ? "named" : "unnamed") << " op";
+  return 0;
+}
+
+TEST(CompiledChecked, CorruptedOpIsNamedOnDesign1AndChainTapes) {
+  const auto [mats, v] = string_instance(3, 6, 71);
+  Design1Modular d1(mats, v);
+  const auto design1 = compile::lower_array(d1);
+  Rng rng(72);
+  auto chain = chain_triangle(random_chain_dims(8, rng));
+  const auto chain_low = compile::lower_array(chain);
+
+  for (const auto* net : {&design1.net, &chain_low.net}) {
+    const std::uint64_t i = pick_op(*net, /*named=*/true);
+    const std::uint32_t pl = net->provenance.op_lane[i];
+    ASSERT_FALSE(net->provenance.lanes[pl].module.empty());
+    for (const std::uint32_t lanes : {1u, 8u}) {
+      expect_checked_replay_names_op(*net, i, lanes);
+      // The first and last ops of the tape are reported too.
+      expect_checked_replay_names_op(*net, 0, lanes);
+      expect_checked_replay_names_op(*net, net->num_ops() - 1, lanes);
+    }
+  }
+}
+
+TEST(CompiledChecked, UnnamedLaneLeavesModuleAndLabelEmpty) {
+  Rng rng(73);
+  auto chain = chain_triangle(random_chain_dims(8, rng));
+  compile::LowerOptions opt;
+  opt.capture_netlist = false;  // no lane is named
+  const auto low = compile::lower_array(chain, opt);
+  const std::uint64_t i = pick_op(low.net, /*named=*/false);
+  for (const std::uint32_t lanes : {1u, 8u}) {
+    expect_checked_replay_names_op(low.net, i, lanes);
+  }
+}
+
+TEST(CompiledChecked, CorruptedOutputIsReportedOnEveryLane) {
+  const auto [mats, v] = string_instance(3, 6, 74);
+  Design1Modular arr(mats, v);
+  auto low = compile::lower_array(arr);
+  ASSERT_GE(low.net.outputs.size(), 2u);
+  const std::uint64_t k = low.net.outputs.size() / 2;
+  const Cost truth = low.net.outputs[k].expected;
+  low.net.outputs[k].expected = truth + 1;
+  for (const std::uint32_t lanes : {1u, 8u}) {
+    SCOPED_TRACE("B=" + std::to_string(lanes));
+    compile::CompiledEngine ce(low.net, lanes);
+    ASSERT_FALSE(ce.run_all_checked().found);  // the ops are untouched
+    for (std::uint32_t l = 0; l < lanes; ++l) {
+      const compile::Divergence d = ce.verify_outputs(l);
+      ASSERT_TRUE(d.found) << "lane " << l;
+      EXPECT_EQ(d.index, k);
+      EXPECT_EQ(d.got, truth);
+      EXPECT_EQ(d.expected, truth + 1);
+    }
+  }
+}
+
+// --------------------------------------------------------- lane arithmetic ---
+
+// The width-1 kernel applies sysdp::sat_add; wider kernels apply the
+// branchless lanes::lane_sat_add and, on baked immediates,
+// lane_sat_add_w<class of w>.  Their bit-identity is what makes a lane of a
+// wide replay equal a width-1 replay, so it is pinned here exhaustively on
+// the values where saturation decides the result.
+std::vector<Cost> boundary_costs() {
+  constexpr Cost kMax = std::numeric_limits<Cost>::max();
+  constexpr Cost kMin = std::numeric_limits<Cost>::min();
+  return {kInfCost,        kNegInfCost,     kInfCost + 1, kInfCost - 1,
+          kNegInfCost + 1, kNegInfCost - 1, kMax / 4,     -(kMax / 4),
+          kMax / 2,        kMin / 2,        kMax,         kMin,
+          kInfCost / 2,    kNegInfCost / 2, -1,           0,
+          1};
+}
+
+TEST(LaneMath, BranchlessSatAddMatchesScalarOnBoundaryGrid) {
+  const auto grid = boundary_costs();
+  for (const Cost a : grid) {
+    for (const Cost b : grid) {
+      ASSERT_EQ(compile::lanes::lane_sat_add(a, b), sat_add(a, b))
+          << a << " + " << b;
+    }
+  }
+}
+
+TEST(LaneMath, WeightClassLiftMatchesScalarOnBoundaryGrid) {
+  const auto grid = boundary_costs();
+  for (const Cost w : grid) {
+    for (const Cost x : grid) {
+      compile::lanes::with_w_class(w, [&](auto wc) {
+        EXPECT_EQ(decltype(wc)::value, compile::lanes::classify_w(w));
+        ASSERT_EQ(compile::lanes::lane_sat_add_w<decltype(wc)::value>(x, w),
+                  sat_add(x, w))
+            << x << " + w=" << w;
+      });
+    }
+  }
 }
 
 }  // namespace

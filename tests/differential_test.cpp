@@ -22,7 +22,6 @@
 #include "arrays/graph_adapter.hpp"
 #include "arrays/triangular_array.hpp"
 #include "arrays/triangular_modular.hpp"
-#include "compile/batch_engine.hpp"
 #include "compile/engine.hpp"
 #include "compile/lower.hpp"
 #include "baseline/matrix_chain.hpp"
@@ -517,15 +516,15 @@ void expect_same_shape(const compile::CompiledNetlist& a,
 
 /// Run a B-lane batched replay of `net` with `tables[l]` bound on lane l
 /// (an empty table means the oracle binding) and require every lane to be
-/// bit-identical, slot for slot, to an independent scalar CompiledEngine
-/// replay of the same binding.
+/// bit-identical, slot for slot, to an independent width-1 replay of the
+/// same binding — the scalar sat_add kernel against the lane kernels.
 void expect_lanes_bit_identical(
     const compile::CompiledNetlist& net,
     const std::vector<std::vector<Cost>>& tables) {
   const auto lanes = static_cast<std::uint32_t>(tables.size());
-  compile::BatchedCompiledEngine be(net, lanes);
+  compile::CompiledEngine be(net, lanes);
   for (std::uint32_t l = 0; l < lanes; ++l) {
-    if (!tables[l].empty()) be.bind(l, tables[l]);
+    if (!tables[l].empty()) be.bind(tables[l], l);
   }
   be.run_all();
   for (std::uint32_t l = 0; l < lanes; ++l) {
@@ -616,8 +615,8 @@ TEST(CompiledBatchDifferential, Design2LaneExactAcrossWidths) {
 
 TEST(CompiledBatchDifferential, Design3LaneExactAcrossWidths) {
   // Design 3's instance data enters the tape as interned constants (the
-  // node values), so its lanes replay the oracle binding — the batched
-  // kRelax kernel is still exercised against the scalar one lane by lane.
+  // node values), so its lanes replay the oracle binding — the lane
+  // kRelax kernel is still exercised against the width-1 one lane by lane.
   Rng rng(431);
   const auto nv = traffic_control_instance(8, 8, rng);
   Design3Modular arr(nv);
@@ -700,7 +699,7 @@ TEST(CompiledBatchDifferential, TriangularLaneExactAcrossWidths) {
 
 TEST(CompiledBatchDifferential, BstLaneExactAcrossWidths) {
   // Oracle binding on every lane (see above): this still drives the
-  // batched kFold kernel against the scalar engine lane for lane.
+  // lane kFold kernel against the width-1 kernel lane for lane.
   Rng rng(461);
   std::vector<Cost> freq(8);
   std::uniform_int_distribution<Cost> dist(1, 20);
@@ -813,7 +812,7 @@ TEST_P(CompiledRebindFuzz, ReboundTapeMatchesFreshLowering) {
     ASSERT_EQ(rebound.value(s), fresh.value(s)) << "slot " << s;
   }
 
-  // And the batched engine agrees with both, lanes interleaving the
+  // And a B-lane replay agrees with both, lanes interleaving the
   // oracle binding and the rebind.
   expect_lanes_bit_identical(base.net, {{}, vparams, {}, vparams, vparams});
 }

@@ -1,8 +1,8 @@
 // Optimizer fuzzing: random construction-correct SSA tapes go through each
 // optimizer pass alone and the full pipeline at both levels, and every variant
 // must (a) still pass all nine static verifier checks, (b) replay
-// bit-identically to the unoptimized tape — on the serial engine and the
-// SIMD-batched engine at B ∈ {1, 2, 8} — and (c) never grow the tape (op and
+// bit-identically to the unoptimized tape — on a default engine and on
+// B-lane engines at B ∈ {1, 2, 8} — and (c) never grow the tape (op and
 // level counts are monotone non-increasing).  The generator deliberately leaves
 // dead scalars behind, so dead-op elimination always has real work, and every
 // level's first op reads the previous level, so fusion always faces real
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "analysis/tape_verify.hpp"
-#include "compile/batch_engine.hpp"
 #include "compile/compact.hpp"
 #include "compile/engine.hpp"
 #include "compile/optimize.hpp"
@@ -256,7 +255,7 @@ TEST(OptFuzz, OptimizedTapesReplayIdenticallySerialAndBatched) {
 
       for (const std::uint32_t lanes : {1u, 2u, 8u}) {
         SCOPED_TRACE("B=" + std::to_string(lanes));
-        compile::BatchedCompiledEngine be(m, lanes);
+        compile::CompiledEngine be(m, lanes);
         be.run_all();
         for (std::uint32_t lane = 0; lane < lanes; ++lane) {
           for (const sim::SlotId s : slots) {
