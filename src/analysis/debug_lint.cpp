@@ -1,23 +1,16 @@
 #include "analysis/debug_lint.hpp"
 
 #include <stdexcept>
-#include <utility>
 
-#include "sim/engine.hpp"
+#include "analysis/lint.hpp"
 
 namespace sysdp::analysis {
 
-void attach_debug_lint(sim::Engine& engine, CaptureOptions opts,
-                       Severity fail_at) {
-  engine.set_elaboration_check(
-      [opts = std::move(opts), fail_at](const sim::Engine& e) {
-        const Netlist net = capture(e, opts);
-        const LintReport report = Linter().run(net, "debug-lint");
-        if (!report.clean(fail_at)) {
-          throw std::logic_error("elaboration lint failed:\n" +
-                                 report.to_text());
-        }
-      });
+void DebugLint::on_elaborated(const sim::Engine& engine) {
+  const LintReport report = Linter().run(capture(engine, opts_), "debug-lint");
+  if (!report.clean()) {
+    throw std::logic_error("elaboration lint failed:\n" + report.to_text());
+  }
 }
 
 }  // namespace sysdp::analysis

@@ -1,27 +1,11 @@
 #include "analysis/lint.hpp"
 
 #include <algorithm>
-#include <sstream>
-#include <stdexcept>
+#include <utility>
 
 namespace sysdp::analysis {
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c; break;
-    }
-  }
-  return out;
-}
 
 /// Comma-joined node names for multi-module diagnostics.
 std::string name_list(const Netlist& net, const std::vector<NodeId>& ids) {
@@ -32,28 +16,6 @@ std::string name_list(const Netlist& net, const std::vector<NodeId>& ids) {
   }
   return out;
 }
-
-/// Emit helper: one check's findings at one severity.
-class Emitter {
- public:
-  Emitter(std::string_view check, Severity severity, LintReport& report)
-      : check_(check), severity_(severity), report_(report) {}
-
-  void operator()(const std::string& module, const std::string& storage,
-                  std::string message, Severity severity) const {
-    report_.diagnostics.push_back(Diagnostic{
-        std::string(check_), severity, module, storage, std::move(message)});
-  }
-  void operator()(const std::string& module, const std::string& storage,
-                  std::string message) const {
-    (*this)(module, storage, std::move(message), severity_);
-  }
-
- private:
-  std::string_view check_;
-  Severity severity_;
-  LintReport& report_;
-};
 
 void check_multiple_drivers(const Netlist& net, const Emitter& emit) {
   for (const Storage& st : net.storages) {
@@ -229,106 +191,17 @@ void check_probe_coverage(const Netlist& net, const Emitter& emit) {
 
 }  // namespace
 
-const char* to_string(Severity s) noexcept {
-  switch (s) {
-    case Severity::kNote: return "note";
-    case Severity::kWarning: return "warning";
-    case Severity::kError: return "error";
-  }
-  return "error";
-}
-
-std::size_t LintReport::count(Severity s) const noexcept {
-  std::size_t n = 0;
-  for (const Diagnostic& d : diagnostics) {
-    if (d.severity == s) ++n;
-  }
-  return n;
-}
-
-bool LintReport::clean(Severity fail_at) const noexcept {
-  for (const Diagnostic& d : diagnostics) {
-    if (d.severity >= fail_at) return false;
-  }
-  return true;
-}
-
-std::string LintReport::to_text() const {
-  std::ostringstream out;
-  out << design << ": " << errors() << " error(s), " << warnings()
-      << " warning(s), " << count(Severity::kNote) << " note(s)\n";
-  for (const Diagnostic& d : diagnostics) {
-    out << "  [" << to_string(d.severity) << "] " << d.check << " @ "
-        << d.module;
-    if (!d.storage.empty()) out << " '" << d.storage << "'";
-    out << ": " << d.message << "\n";
-  }
-  return out.str();
-}
-
-std::string LintReport::to_json() const {
-  std::ostringstream out;
-  out << "{\"design\": \"" << json_escape(design) << "\", \"counts\": {"
-      << "\"errors\": " << errors() << ", \"warnings\": " << warnings()
-      << ", \"notes\": " << count(Severity::kNote)
-      << "}, \"diagnostics\": [";
-  for (std::size_t i = 0; i < diagnostics.size(); ++i) {
-    const Diagnostic& d = diagnostics[i];
-    if (i > 0) out << ", ";
-    out << "{\"check\": \"" << json_escape(d.check) << "\", \"severity\": \""
-        << to_string(d.severity) << "\", \"module\": \""
-        << json_escape(d.module) << "\", \"storage\": \""
-        << json_escape(d.storage) << "\", \"message\": \""
-        << json_escape(d.message) << "\"}";
-  }
-  out << "]}";
-  return out.str();
-}
-
-Linter::Linter()
-    : severities_{{kMultipleDrivers, Severity::kError},
-                  {kCombHazard, Severity::kError},
-                  {kDanglingPort, Severity::kWarning},
-                  {kOrphanModule, Severity::kError},
-                  {kWakeupCoverage, Severity::kError},
-                  {kProbeCoverage, Severity::kNote}} {}
-
-void Linter::set_severity(std::string_view check, Severity s) {
-  for (CheckSeverity& cs : severities_) {
-    if (cs.check == check) {
-      cs.severity = s;
-      return;
-    }
-  }
-  std::string known;
-  for (const CheckSeverity& cs : severities_) {
-    if (!known.empty()) known += ", ";
-    known += cs.check;
-  }
-  throw std::invalid_argument("Linter::set_severity: unknown check '" +
-                              std::string(check) + "' (known checks: " +
-                              known + ")");
-}
-
-Severity Linter::severity_of(std::string_view check) const {
-  for (const CheckSeverity& cs : severities_) {
-    if (cs.check == check) return cs.severity;
-  }
-  return Severity::kError;
-}
-
 LintReport Linter::run(const Netlist& net, std::string design_name) const {
   LintReport report;
   report.design = std::move(design_name);
-  const auto emitter = [&](std::string_view check) {
-    return Emitter(check, severity_of(check), report);
-  };
-  check_multiple_drivers(net, emitter(kMultipleDrivers));
-  check_comb_hazard(net, emitter(kCombHazard));
-  check_dangling_port(net, emitter(kDanglingPort));
-  check_orphan_module(net, emitter(kOrphanModule));
-  check_wakeup_coverage(net, emitter(kWakeupCoverage));
-  check_probe_coverage(net, emitter(kProbeCoverage));
+  check_multiple_drivers(net,
+                         Emitter(kMultipleDrivers, Severity::kError, report));
+  check_comb_hazard(net, Emitter(kCombHazard, Severity::kError, report));
+  check_dangling_port(net, Emitter(kDanglingPort, Severity::kWarning, report));
+  check_orphan_module(net, Emitter(kOrphanModule, Severity::kError, report));
+  check_wakeup_coverage(net,
+                        Emitter(kWakeupCoverage, Severity::kError, report));
+  check_probe_coverage(net, Emitter(kProbeCoverage, Severity::kNote, report));
   return report;
 }
 

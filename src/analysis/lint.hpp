@@ -35,50 +35,26 @@
 //                       layer (src/obs) cannot observe it, so waveforms of
 //                       this design silently omit the lane.
 //
-// Severities are per-check and overridable; reports render as human text
+// Severities are fixed per check: dangling-port findings are warnings
+// (a written port nothing reads, a note), probe-coverage findings notes,
+// and the other four checks report errors.  Reports render as human text
 // or JSON (schema sysdp-lint-v1).
 #pragma once
 
-#include <cstddef>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "analysis/netlist.hpp"
+#include "analysis/report.hpp"
 
 namespace sysdp::analysis {
 
-enum class Severity : std::uint8_t { kNote, kWarning, kError };
-
-[[nodiscard]] const char* to_string(Severity s) noexcept;
-
-/// One finding, tagged with the check that produced it and the module /
-/// storage it is anchored to.
-struct Diagnostic {
-  std::string check;
-  Severity severity = Severity::kError;
-  std::string module;   ///< primary source tag (module name)
-  std::string storage;  ///< storage label, empty if not port-anchored
-  std::string message;
-};
-
-struct LintReport {
-  std::string design;
-  std::vector<Diagnostic> diagnostics;
-
-  [[nodiscard]] std::size_t count(Severity s) const noexcept;
-  [[nodiscard]] std::size_t errors() const noexcept {
-    return count(Severity::kError);
+struct LintReport : Report {
+  [[nodiscard]] std::string to_text() const { return render_text(""); }
+  /// One JSON object: {"design": ..., "counts": ..., "diagnostics": [...]}.
+  [[nodiscard]] std::string to_json() const {
+    return render_json("", "module");
   }
-  [[nodiscard]] std::size_t warnings() const noexcept {
-    return count(Severity::kWarning);
-  }
-  /// True if no diagnostic at or above `fail_at` was produced.
-  [[nodiscard]] bool clean(Severity fail_at = Severity::kError) const noexcept;
-
-  [[nodiscard]] std::string to_text() const;
-  /// One JSON object: {"design": ..., "diagnostics": [...], "counts": ...}.
-  [[nodiscard]] std::string to_json() const;
 };
 
 class Linter {
@@ -90,25 +66,9 @@ class Linter {
   static constexpr std::string_view kWakeupCoverage = "wakeup-coverage";
   static constexpr std::string_view kProbeCoverage = "probe-coverage";
 
-  /// All six checks enabled at their default severities.
-  Linter();
-
-  /// Override the principal severity of one check (e.g. demote
-  /// wakeup-coverage to a warning while bringing up a new array).
-  /// Unknown check names throw std::invalid_argument.
-  void set_severity(std::string_view check, Severity s);
-
+  /// Run all six checks.
   [[nodiscard]] LintReport run(const Netlist& net,
                                std::string design_name) const;
-
- private:
-  [[nodiscard]] Severity severity_of(std::string_view check) const;
-
-  struct CheckSeverity {
-    std::string_view check;
-    Severity severity;
-  };
-  std::vector<CheckSeverity> severities_;
 };
 
 }  // namespace sysdp::analysis

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "compile/live_range.hpp"
-#include "obs/json_util.hpp"
 
 namespace sysdp::analysis {
 
@@ -19,13 +18,16 @@ using compile::Op;
 using compile::OpKind;
 using compile::Output;
 using compile::SlotInit;
-using compile::TapeSemiring;
 
 /// Definition sentinels for the forward scan.  Op indices fit 32 bits
 /// (the cycle index is 32-bit), so every real definition compares below
 /// both.
 constexpr std::uint32_t kInitDef = 0xfffffffeu;  ///< a SlotInit entry
 constexpr std::uint32_t kNoDef = 0xffffffffu;    ///< none reached yet
+
+/// value-range certifies reachable finite values against the int32 range,
+/// which makes narrow-lane kernels provably lossless.
+constexpr Cost kInt32Bound = 2147483647;
 
 /// The definition currently visible in one slot, as the forward scan has
 /// resolved it so far.
@@ -35,28 +37,6 @@ struct SlotDef {
   std::uint32_t level = 0;
   /// Longest def-use chain ending in this definition, in ops (0 for init).
   std::uint32_t depth = 0;
-};
-
-/// Emit helper: one check's findings at one severity.
-class Emitter {
- public:
-  Emitter(std::string_view check, Severity severity, TapeVerifyReport& report)
-      : check_(check), severity_(severity), report_(report) {}
-
-  void operator()(const std::string& site, const std::string& storage,
-                  std::string message, Severity severity) const {
-    report_.diagnostics.push_back(Diagnostic{
-        std::string(check_), severity, site, storage, std::move(message)});
-  }
-  void operator()(const std::string& site, const std::string& storage,
-                  std::string message) const {
-    (*this)(site, storage, std::move(message), severity_);
-  }
-
- private:
-  std::string_view check_;
-  Severity severity_;
-  TapeVerifyReport& report_;
 };
 
 std::string op_site(std::uint64_t i) { return "op#" + std::to_string(i); }
@@ -150,19 +130,13 @@ struct TimesResult {
 }
 
 /// Abstract semiring addition: the kernels' improves-select is exactly
-/// MIN (MinPlus) / MAX (MaxPlus) of its two operands.
+/// the MIN of its two operands.
 [[gnu::always_inline]] inline AbsVal abs_select(const AbsVal& x,
-                                                const AbsVal& y,
-                                                TapeSemiring sr) {
+                                                const AbsVal& y) {
   if (!x.known() || !y.known()) return AbsVal{};
   AbsVal r;
-  if (sr == TapeSemiring::kMinPlus) {
-    r.may_pinf = x.may_pinf && y.may_pinf;  // min is +inf only if both can be
-    r.may_ninf = x.may_ninf || y.may_ninf;
-  } else {
-    r.may_pinf = x.may_pinf || y.may_pinf;
-    r.may_ninf = x.may_ninf && y.may_ninf;
-  }
+  r.may_pinf = x.may_pinf && y.may_pinf;  // min is +inf only if both can be
+  r.may_ninf = x.may_ninf || y.may_ninf;
   // Finite part: interval hull of the finite parts that can be selected.
   r.has_fin = x.has_fin || y.has_fin;
   if (x.has_fin && y.has_fin) {
@@ -217,13 +191,6 @@ bool check_structure(const CompiledNetlist& net, const Emitter& emit) {
     ++findings;
     emit(site, storage, std::move(message));
   };
-
-  if (static_cast<std::uint8_t>(net.semiring) > 1) {
-    note("tape", "",
-         "semiring tag " +
-             std::to_string(static_cast<unsigned>(net.semiring)) +
-             " names no known closed semiring");
-  }
 
   // CSR cycle index.
   const std::uint64_t nops = net.ops.size();
@@ -318,25 +285,8 @@ bool check_structure(const CompiledNetlist& net, const Emitter& emit) {
 // ---------------------------------------------------------------------------
 // Report rendering.
 
-std::size_t TapeVerifyReport::count(Severity s) const noexcept {
-  std::size_t n = 0;
-  for (const Diagnostic& d : diagnostics) {
-    if (d.severity == s) ++n;
-  }
-  return n;
-}
-
-bool TapeVerifyReport::clean(Severity fail_at) const noexcept {
-  for (const Diagnostic& d : diagnostics) {
-    if (d.severity >= fail_at) return false;
-  }
-  return true;
-}
-
 std::string TapeVerifyReport::to_text() const {
   std::ostringstream out;
-  out << design << ": " << errors() << " error(s), " << warnings()
-      << " warning(s), " << count(Severity::kNote) << " note(s)\n";
   out << "  tape: " << stats.ops << " ops / " << stats.slots << " slots / "
       << stats.levels << " levels (" << stats.nonempty_levels
       << " non-empty), depth " << stats.dependence_depth << ", "
@@ -349,18 +299,12 @@ std::string TapeVerifyReport::to_text() const {
         << stats.provenance_binds << " binds, " << stats.ops_attributed
         << " of " << stats.ops << " ops attributed\n";
   }
-  for (const Diagnostic& d : diagnostics) {
-    out << "  [" << to_string(d.severity) << "] " << d.check << " @ "
-        << d.module;
-    if (!d.storage.empty()) out << " '" << d.storage << "'";
-    out << ": " << d.message << "\n";
-  }
-  return out.str();
+  return render_text(out.str());
 }
 
 std::string TapeVerifyReport::to_json() const {
   std::ostringstream out;
-  out << "{\"design\": \"" << obs::json_escape(design) << "\", \"tape\": {"
+  out << "\"tape\": {"
       << "\"ops\": " << stats.ops << ", \"slots\": " << stats.slots
       << ", \"levels\": " << stats.levels
       << ", \"nonempty_levels\": " << stats.nonempty_levels
@@ -376,68 +320,21 @@ std::string TapeVerifyReport::to_json() const {
       << ", \"int32_safe\": " << (stats.int32_safe ? "true" : "false")
       << ", \"provenance_lanes\": " << stats.provenance_lanes
       << ", \"provenance_binds\": " << stats.provenance_binds
-      << ", \"ops_attributed\": " << stats.ops_attributed
-      << "}, \"counts\": {\"errors\": " << errors()
-      << ", \"warnings\": " << warnings()
-      << ", \"notes\": " << count(Severity::kNote) << "}, \"diagnostics\": [";
-  for (std::size_t i = 0; i < diagnostics.size(); ++i) {
-    const Diagnostic& d = diagnostics[i];
-    if (i > 0) out << ", ";
-    out << "{\"check\": \"" << obs::json_escape(d.check)
-        << "\", \"severity\": \"" << to_string(d.severity)
-        << "\", \"site\": \"" << obs::json_escape(d.module)
-        << "\", \"storage\": \"" << obs::json_escape(d.storage)
-        << "\", \"message\": \"" << obs::json_escape(d.message) << "\"}";
-  }
-  out << "]}";
-  return out.str();
+      << ", \"ops_attributed\": " << stats.ops_attributed << "}, ";
+  return render_json(out.str(), "site");
 }
 
 // ---------------------------------------------------------------------------
 // Verifier.
-
-TapeVerifier::TapeVerifier()
-    : severities_{{kTapeStructure, Severity::kError},
-                  {kDefBeforeUse, Severity::kError},
-                  {kLevelSchedule, Severity::kError},
-                  {kSingleAssignment, Severity::kError},
-                  {kOutputReachability, Severity::kError},
-                  {kValueRange, Severity::kError},
-                  {kCompactionSafety, Severity::kError},
-                  {kBindPlane, Severity::kError},
-                  {kProvenance, Severity::kError}} {}
-
-void TapeVerifier::set_severity(std::string_view check, Severity s) {
-  for (CheckSeverity& cs : severities_) {
-    if (cs.check == check) {
-      cs.severity = s;
-      return;
-    }
-  }
-  std::string known;
-  for (const CheckSeverity& cs : severities_) {
-    if (!known.empty()) known += ", ";
-    known += cs.check;
-  }
-  throw std::invalid_argument("TapeVerifier::set_severity: unknown check '" +
-                              std::string(check) + "' (known checks: " +
-                              known + ")");
-}
-
-Severity TapeVerifier::severity_of(std::string_view check) const {
-  for (const CheckSeverity& cs : severities_) {
-    if (cs.check == check) return cs.severity;
-  }
-  return Severity::kError;
-}
 
 TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
                                    std::string design_name,
                                    const TapeVerifyOptions& opt) const {
   TapeVerifyReport report;
   report.design = std::move(design_name);
+  // Every check's principal severity is kError.
   const auto emitter = [&](std::string_view check) {
-    return Emitter(check, severity_of(check), report);
+    return Emitter(check, Severity::kError, report);
   };
 
   TapeVerifyStats& st = report.stats;
@@ -671,15 +568,6 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
         const std::uint64_t slack = t - min_level;
         ++st.transport_slack_ops;
         st.max_transport_slack = std::max(st.max_transport_slack, slack);
-        if (opt.max_transport_slack >= 0 &&
-            slack > static_cast<std::uint64_t>(opt.max_transport_slack)) {
-          emit_sched(op_site(i, t), slot_name(op.dst),
-                     "scheduled " + std::to_string(slack) +
-                         " level(s) after its dependence-minimal level " +
-                         std::to_string(min_level) +
-                         " — exceeds the configured transport-slack bound "
-                         "of " + std::to_string(opt.max_transport_slack));
-        }
       }
 
       // -- value-range: abstract-evaluate the kernel.
@@ -693,7 +581,7 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
           const TimesResult wb = abs_times(w, aval[op.b]);
           clip = wb.clip;
           note_fin(wb.val);
-          out_dst = abs_select(aval[op.a], wb.val, net.semiring);
+          out_dst = abs_select(aval[op.a], wb.val);
           break;
         }
         case OpKind::kFold: {
@@ -702,17 +590,17 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
           clip = bc.clip || cand.clip;
           note_fin(bc.val);
           note_fin(cand.val);
-          out_dst = abs_select(aval[op.a], cand.val, net.semiring);
+          out_dst = abs_select(aval[op.a], cand.val);
           break;
         }
         case OpKind::kRelax: {
           const TimesResult cand = abs_times(aval[op.b], w);
           clip = cand.clip;
           note_fin(cand.val);
-          out_dst = abs_select(aval[op.a], cand.val, net.semiring);
+          out_dst = abs_select(aval[op.a], cand.val);
           // dst+1 takes either the station immediate or the old index half.
           out_pair = abs_select(abs_const(static_cast<Cost>(op.c)),
-                                aval[op.a + 1], net.semiring);
+                                aval[op.a + 1]);
           break;
         }
       }
@@ -911,13 +799,13 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
   }
 
   // --- value-range and schedule summaries.
-  st.int32_safe = !clip_found && st.max_abs_finite <= opt.value_bound;
-  if (!clip_found && st.max_abs_finite > opt.value_bound) {
+  st.int32_safe = !clip_found && st.max_abs_finite <= kInt32Bound;
+  if (!clip_found && st.max_abs_finite > kInt32Bound) {
     emit_val("tape", "",
              "reachable finite values span up to " +
                  std::to_string(st.max_abs_finite) +
-                 " — exceeds the configured bound of " +
-                 std::to_string(opt.value_bound) +
+                 " — exceeds the int32 bound of " +
+                 std::to_string(kInt32Bound) +
                  "; narrow-lane kernels would need widening",
              Severity::kWarning);
   }

@@ -34,8 +34,7 @@
 //                         later than their dependence-minimal level carry
 //                         *transport slack* — the physical array's data
 //                         movement, erased by copy elision — reported as
-//                         stats (and bounded on demand via
-//                         TapeVerifyOptions::max_transport_slack).
+//                         stats and as one summary note.
 //   single-assignment   — SSA on uncompacted tapes: no slot is written
 //                         twice (kRelax's dst/dst+1 double write is one
 //                         definition of a pair group, not a violation).
@@ -49,17 +48,16 @@
 //                         resolves each read to an earlier op, so one
 //                         backward sweep over the tape closes the live
 //                         set — no worklist.
-//   value-range         — abstract interpretation over (MIN,+)/(MAX,+):
+//   value-range         — abstract interpretation over (MIN,+):
 //                         per-slot intervals (finite range + may-be-inf
 //                         flags) propagated from SlotInit and immediate
 //                         weights through every kernel.  Certifies that
 //                         no finite-by-finite addition can saturate into
 //                         the infinity sentinels (error if it can — the
 //                         kernels would silently clamp a real cost) and
-//                         that every reachable finite value fits the
-//                         configured bound (default: int32), so
-//                         narrow-lane SIMD kernels are provably lossless
-//                         for this tape.
+//                         whether every reachable finite value fits
+//                         int32 (a warning if not), so narrow-lane SIMD
+//                         kernels are provably lossless for this tape.
 //   compaction-safety   — after live-range compaction no two overlapping
 //                         live ranges share a slot: every redefinition of
 //                         a slot happens in a strictly later level than
@@ -88,8 +86,9 @@
 //                         trivially: provenance is optional, but never
 //                         silently wrong.
 //
-// Severities are per-check and overridable; reports render as human text
-// or JSON (schema sysdp-tapelint-v1, emitted by sysdp_lint --tape).
+// Every check reports errors, except the findings named above as warnings
+// or notes; severities are fixed.  Reports render as human text or JSON
+// (schema sysdp-tapelint-v1, emitted by sysdp_lint --tape).
 #pragma once
 
 #include <cstdint>
@@ -97,7 +96,7 @@
 #include <string_view>
 #include <vector>
 
-#include "analysis/lint.hpp"
+#include "analysis/report.hpp"
 #include "compile/program.hpp"
 #include "semiring/cost.hpp"
 
@@ -128,7 +127,7 @@ struct TapeVerifyStats {
   std::uint64_t dead_ops = 0;
   /// Largest |finite value| any slot can hold under the verified binding,
   /// per the abstract interpretation; int32_safe records whether it (and
-  /// every intermediate) fits TapeVerifyOptions::value_bound.
+  /// every intermediate) fits int32.
   Cost max_abs_finite = 0;
   bool int32_safe = false;
   /// Provenance table shape: narrated lanes, bind events, and how many
@@ -138,20 +137,8 @@ struct TapeVerifyStats {
   std::uint64_t ops_attributed = 0;
 };
 
-struct TapeVerifyReport {
-  std::string design;
+struct TapeVerifyReport : Report {
   TapeVerifyStats stats;
-  std::vector<Diagnostic> diagnostics;
-
-  [[nodiscard]] std::size_t count(Severity s) const noexcept;
-  [[nodiscard]] std::size_t errors() const noexcept {
-    return count(Severity::kError);
-  }
-  [[nodiscard]] std::size_t warnings() const noexcept {
-    return count(Severity::kWarning);
-  }
-  /// True if no diagnostic at or above `fail_at` was produced.
-  [[nodiscard]] bool clean(Severity fail_at = Severity::kError) const noexcept;
 
   [[nodiscard]] std::string to_text() const;
   /// One JSON object: {"design": ..., "tape": {...stats...},
@@ -165,14 +152,6 @@ struct TapeVerifyOptions {
   /// from these weights, proving the rebound replay safe, not just the
   /// oracle's.  Length must equal the tape's parameter count.
   std::vector<Cost> bound_weights;
-  /// Upper bound on per-op transport slack; an op scheduled more than
-  /// this many levels after its dependence-minimal level is an error.
-  /// Negative disables the bound (the default — slack is reported as
-  /// stats either way).
-  std::int64_t max_transport_slack = -1;
-  /// Finite-magnitude certification bound for value-range (default: the
-  /// int32 range, proving narrow-lane kernels lossless).
-  Cost value_bound = 2147483647;
 };
 
 class TapeVerifier {
@@ -188,28 +167,13 @@ class TapeVerifier {
   static constexpr std::string_view kBindPlane = "bind-plane";
   static constexpr std::string_view kProvenance = "provenance";
 
-  /// All nine checks enabled at their default severities.
-  TapeVerifier();
-
-  /// Override the principal severity of one check.  Unknown check names
-  /// throw std::invalid_argument listing the known ones.
-  void set_severity(std::string_view check, Severity s);
-
+  /// Run all nine checks.
   [[nodiscard]] TapeVerifyReport run(const compile::CompiledNetlist& net,
                                      std::string design_name,
                                      const TapeVerifyOptions& opt = {}) const;
-
- private:
-  [[nodiscard]] Severity severity_of(std::string_view check) const;
-
-  struct CheckSeverity {
-    std::string_view check;
-    Severity severity;
-  };
-  std::vector<CheckSeverity> severities_;
 };
 
-/// One-call form: run all checks at default severities.
+/// One-call form: TapeVerifier().run.
 [[nodiscard]] TapeVerifyReport verify_tape(const compile::CompiledNetlist& net,
                                            std::string design_name,
                                            const TapeVerifyOptions& opt = {});

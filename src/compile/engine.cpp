@@ -178,7 +178,7 @@ struct RunCtx {
 // on one lane and cost less than the branchless lane forms.  With kParam
 // the weight comes from the bound table via the op's parameter index
 // instead of the baked immediate; everything else is identical.
-template <typename S, bool kParam>
+template <bool kParam>
 inline void exec_runs_scalar(const RunCtx& ctx, std::uint32_t rlo,
                              std::uint32_t rhi) {
   Cost* const s = ctx.slots;
@@ -191,23 +191,24 @@ inline void exec_runs_scalar(const RunCtx& ctx, std::uint32_t rlo,
       case OpKind::kMac:
         for (std::uint32_t i = run.lo; i < run.hi; ++i) {
           const Op& op = ctx.ops[i];
-          s[op.dst] = kern::mac<S>(s[op.a], weight(op), s[op.b]);
+          s[op.dst] = kern::mac<MinPlus>(s[op.a], weight(op), s[op.b]);
         }
         break;
       case OpKind::kFold:
         for (std::uint32_t i = run.lo; i < run.hi; ++i) {
           const Op& op = ctx.ops[i];
-          const Cost cand = S::times(S::times(s[op.b], s[op.c]), weight(op));
+          const Cost cand =
+              MinPlus::times(MinPlus::times(s[op.b], s[op.c]), weight(op));
           const Cost prev = s[op.a];
-          s[op.dst] = S::improves(cand, prev) ? cand : prev;
+          s[op.dst] = MinPlus::improves(cand, prev) ? cand : prev;
         }
         break;
       case OpKind::kRelax:
         for (std::uint32_t i = run.lo; i < run.hi; ++i) {
           const Op& op = ctx.ops[i];
-          const Cost cand = S::times(s[op.b], weight(op));
+          const Cost cand = MinPlus::times(s[op.b], weight(op));
           const Cost prev = s[op.a];
-          const bool better = S::improves(cand, prev);
+          const bool better = MinPlus::improves(cand, prev);
           s[op.dst] = better ? cand : prev;
           s[op.dst + 1] = better ? static_cast<Cost>(op.c) : s[op.a + 1];
         }
@@ -242,11 +243,11 @@ inline void with_weight(const RunCtx& ctx, const Op& op, std::uint32_t B,
 // fresh), carries no dependence, and performs only add/min/max/compare/
 // mask-select on int64 — the exact shape -O2/-O3 auto-vectorisers compile
 // to SIMD.  The arithmetic is exec_runs_scalar's, with the branchless
-// lane_sat_add (bit-identical to sat_add) in place of S::times.  kW == 0
-// is the any-width fallback; a nonzero kW makes the lane count a
+// lane_sat_add (bit-identical to sat_add) in place of MinPlus::times.
+// kW == 0 is the any-width fallback; a nonzero kW makes the lane count a
 // compile-time constant, so the lane loops fully unroll into straight-line
 // vector code with no trip-count or remainder logic.
-template <typename S, bool kParam, std::uint32_t kW>
+template <bool kParam, std::uint32_t kW>
 inline void exec_runs_lanes(const RunCtx& ctx, std::uint32_t rlo,
                             std::uint32_t rhi) {
   const std::uint32_t B = kW != 0 ? kW : ctx.lanes;
@@ -264,7 +265,7 @@ inline void exec_runs_lanes(const RunCtx& ctx, std::uint32_t rlo,
           with_weight<kParam>(ctx, op, B, [&](auto w, auto add_w) {
             SYSDP_LANE_IVDEP
             for (std::uint32_t l = 0; l < B; ++l) {
-              d[l] = S::plus(pa[l], add_w(pb[l], w(l)));
+              d[l] = MinPlus::plus(pa[l], add_w(pb[l], w(l)));
             }
           });
         }
@@ -281,7 +282,7 @@ inline void exec_runs_lanes(const RunCtx& ctx, std::uint32_t rlo,
             for (std::uint32_t l = 0; l < B; ++l) {
               const Cost cand = add_w(lane_sat_add(pb[l], pc[l]), w(l));
               const Cost prev = pa[l];
-              d[l] = S::improves(cand, prev) ? cand : prev;
+              d[l] = MinPlus::improves(cand, prev) ? cand : prev;
             }
           });
         }
@@ -300,7 +301,7 @@ inline void exec_runs_lanes(const RunCtx& ctx, std::uint32_t rlo,
             for (std::uint32_t l = 0; l < B; ++l) {
               const Cost cand = add_w(pb[l], w(l));
               const Cost prev = pa[l];
-              const bool better = S::improves(cand, prev);
+              const bool better = MinPlus::improves(cand, prev);
               d[l] = better ? cand : prev;
               darg[l] = better ? station : paarg[l];
             }
@@ -311,24 +312,19 @@ inline void exec_runs_lanes(const RunCtx& ctx, std::uint32_t rlo,
   }
 }
 
-/// Width-kW kernel for the tape's semiring and binding; kW == 1 selects
-/// the scalar kernel.
+/// Width-kW kernel for the tape's binding; kW == 1 selects the scalar
+/// kernel.
 template <std::uint32_t kW>
 inline void exec_runs(const RunCtx& ctx, std::uint32_t rlo, std::uint32_t rhi,
-                      TapeSemiring semiring, bool param) {
-  const auto go = [&](auto s, auto p) {
-    using S = decltype(s);
+                      bool param) {
+  const auto go = [&](auto p) {
     if constexpr (kW == 1) {
-      exec_runs_scalar<S, decltype(p)::value>(ctx, rlo, rhi);
+      exec_runs_scalar<decltype(p)::value>(ctx, rlo, rhi);
     } else {
-      exec_runs_lanes<S, decltype(p)::value, kW>(ctx, rlo, rhi);
+      exec_runs_lanes<decltype(p)::value, kW>(ctx, rlo, rhi);
     }
   };
-  if (semiring == TapeSemiring::kMinPlus) {
-    param ? go(MinPlus{}, std::true_type{}) : go(MinPlus{}, std::false_type{});
-  } else {
-    param ? go(MaxPlus{}, std::true_type{}) : go(MaxPlus{}, std::false_type{});
-  }
+  param ? go(std::true_type{}) : go(std::false_type{});
 }
 
 // Function multiversioning (SYSDP_LANE_CLONES, lane_math.hpp): the wide
@@ -348,16 +344,16 @@ inline void exec_runs(const RunCtx& ctx, std::uint32_t rlo, std::uint32_t rhi,
 // baseline kernels — they exercise the same source.
 SYSDP_LANE_CLONES
 void exec_runs_wide(const RunCtx& ctx, std::uint32_t rlo, std::uint32_t rhi,
-                    TapeSemiring semiring, bool param) {
+                    bool param) {
   switch (ctx.lanes) {
     case 8:
-      exec_runs<8>(ctx, rlo, rhi, semiring, param);
+      exec_runs<8>(ctx, rlo, rhi, param);
       break;
     case 16:
-      exec_runs<16>(ctx, rlo, rhi, semiring, param);
+      exec_runs<16>(ctx, rlo, rhi, param);
       break;
     default:
-      exec_runs<0>(ctx, rlo, rhi, semiring, param);
+      exec_runs<0>(ctx, rlo, rhi, param);
       break;
   }
 }
@@ -375,9 +371,9 @@ void CompiledEngine::exec_runs(std::uint32_t rlo, std::uint32_t rhi) {
   const RunCtx ctx{slots_.data(), param ? weights_.data() : nullptr,
                    net_->ops.data(), runs_.data(), lanes_};
   if (lanes_ == 1) {
-    sysdp::compile::exec_runs<1>(ctx, rlo, rhi, net_->semiring, param);
+    sysdp::compile::exec_runs<1>(ctx, rlo, rhi, param);
   } else {
-    exec_runs_wide(ctx, rlo, rhi, net_->semiring, param);
+    exec_runs_wide(ctx, rlo, rhi, param);
   }
 }
 
@@ -479,17 +475,6 @@ void CompiledEngine::run(sim::Cycle n) {
 void CompiledEngine::run_all() {
   run(cycles() > now_ ? cycles() - now_ : 0);
   notify_end();
-}
-
-sim::RunUntilResult CompiledEngine::run_until(
-    const std::function<bool(const CompiledEngine&)>& done,
-    sim::Cycle max_cycles) {
-  if (done(*this)) return {true, 0};
-  for (sim::Cycle i = 1; i <= max_cycles; ++i) {
-    step();
-    if (done(*this)) return {true, i};
-  }
-  return {false, max_cycles};
 }
 
 Divergence CompiledEngine::run_all_checked() {

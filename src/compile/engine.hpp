@@ -40,7 +40,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -49,7 +48,6 @@
 #include "compile/program.hpp"
 #include "compile/replay_observer.hpp"
 #include "semiring/cost.hpp"
-#include "sim/engine.hpp"  // sim::RunUntilResult — one loop shape, two engines
 #include "sim/module.hpp"
 
 namespace sysdp::compile {
@@ -106,13 +104,6 @@ class CompiledEngine {
 
   /// Execute the whole tape.
   void run_all();
-
-  /// Step until `done(*this)` holds, checking once at entry and once per
-  /// cycle — the same contract as sim::Engine::run_until, so harnesses can
-  /// drive either engine through one shape of loop.
-  [[nodiscard]] sim::RunUntilResult run_until(
-      const std::function<bool(const CompiledEngine&)>& done,
-      sim::Cycle max_cycles);
 
   [[nodiscard]] sim::Cycle now() const noexcept { return now_; }
   [[nodiscard]] sim::Cycle cycles() const noexcept { return net_->cycles(); }

@@ -38,10 +38,6 @@ struct LowerOptions {
   /// name; lowering captures no netlist either way.  Off, every lane stays
   /// "lane<N>" and the tape is otherwise identical.
   bool capture_netlist = true;
-  /// Cross-check tape op count against the oracle's busy-step count: every
-  /// paper design marks exactly one busy step per semiring op, so a
-  /// mismatch means a narration site is missing or duplicated.
-  bool check_busy_steps = true;
   /// Rename slots by live-range reuse after lowering (compile/compact.hpp):
   /// the recorder's SSA slot file scales with the op count, compaction
   /// shrinks it to the peak live count so replays — above all the B-lane
@@ -130,8 +126,9 @@ template <typename Array>
         " dependency levels but the oracle ran " +
         std::to_string(oracle.now()) + " cycles");
   }
-  if (opt.check_busy_steps &&
-      out.net.num_ops() != out.net.stats.oracle_busy_steps) {
+  // Every paper design marks exactly one busy step per semiring op, so a
+  // mismatch means a narration site is missing or duplicated.
+  if (out.net.num_ops() != out.net.stats.oracle_busy_steps) {
     throw std::logic_error(
         "compile::lower_array: tape has " + std::to_string(out.net.num_ops()) +
         " ops but the oracle counted " +

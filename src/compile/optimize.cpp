@@ -106,8 +106,7 @@ std::uint64_t prune_dead_ops(CompiledNetlist& net) {
   return dead;
 }
 
-std::uint64_t fuse_levels(CompiledNetlist& net, bool allow_chain_edges,
-                          std::uint32_t max_fused_ops) {
+std::uint64_t fuse_levels(CompiledNetlist& net, bool allow_chain_edges) {
   require_uncompacted(net, "fuse_levels");
   const std::uint64_t cycles = net.cycles();
   if (cycles <= 1) return 0;
@@ -128,7 +127,7 @@ std::uint64_t fuse_levels(CompiledNetlist& net, bool allow_chain_edges,
     const std::uint32_t width = hi - lo;
     bool split = false;
     if (t > 0 && width > 0) {
-      if (group_ops > 0 && group_ops + width > max_fused_ops) {
+      if (group_ops > 0 && group_ops + width > kMaxFusedOps) {
         split = true;
       } else {
         for (std::uint32_t i = lo; i < hi && !split; ++i) {
@@ -285,7 +284,7 @@ OptimizeStats optimize_tape(CompiledNetlist& net, const OptimizeOptions& opt) {
   if (opt.level > 0) {
     require_uncompacted(net, "optimize_tape");
     st.ops_pruned = prune_dead_ops(net);
-    st.levels_fused = fuse_levels(net, opt.level >= 2, opt.max_fused_ops);
+    st.levels_fused = fuse_levels(net, opt.level >= 2);
     st.levels_reordered = reorder_levels(net);
     net.stats.opt_level = static_cast<std::uint8_t>(opt.level);
     net.stats.ops_pruned = st.ops_pruned;

@@ -16,7 +16,7 @@
 //      value produced earlier in the level by a same-kind op (an in-level
 //      chain), and every executor replays a level in tape order, so chain
 //      order survives.  Fused
-//      groups are capped at `max_fused_ops`: compaction's slot reuse is
+//      groups are capped at kMaxFusedOps: compaction's slot reuse is
 //      level-granular, so one unbounded fused level would hold the whole
 //      SSA slot file live and evict the replay's working set — the cap
 //      trades the last few level boundaries for a cache-resident slot
@@ -55,9 +55,10 @@ struct OptimizeOptions {
   /// of wide levels; maximal replay throughput, but waveform stamps
   /// compress.
   int level = 1;
-  /// Upper bound on ops per fused level (see header comment).
-  std::uint32_t max_fused_ops = 4096;
 };
+
+/// Upper bound on ops per fused level (see header comment).
+inline constexpr std::uint32_t kMaxFusedOps = 4096;
 
 /// What the pipeline did — bench sections and lint variants report these;
 /// the fuzz harness asserts the counts are monotone.
@@ -86,10 +87,10 @@ OptimizeStats optimize_tape(CompiledNetlist& net,
 /// ops removed.
 std::uint64_t prune_dead_ops(CompiledNetlist& net);
 
-/// Merge adjacent levels subject to the edge rule; `allow_chain_edges`
-/// selects the aggressive variant.  Returns levels removed.
-std::uint64_t fuse_levels(CompiledNetlist& net, bool allow_chain_edges,
-                          std::uint32_t max_fused_ops = 4096);
+/// Merge adjacent levels subject to the edge rule and kMaxFusedOps;
+/// `allow_chain_edges` selects the aggressive variant.  Returns levels
+/// removed.
+std::uint64_t fuse_levels(CompiledNetlist& net, bool allow_chain_edges);
 
 /// Kind-major + slot-ascending reordering inside every level.  Returns
 /// levels whose order changed.

@@ -34,12 +34,9 @@
 
 namespace sysdp::compile {
 
-/// Which closed semiring the tape's kernels fold over.  The five paper
-/// designs all lower to (MIN,+); (MAX,+) shares every kernel shape with
-/// the comparison direction flipped (longest path / critical path DP).
-enum class TapeSemiring : std::uint8_t { kMinPlus, kMaxPlus };
-
-/// Op kinds — one per scalar kernel in semiring/kernels.hpp.
+/// Op kinds — one per scalar kernel in semiring/kernels.hpp.  Every tape
+/// folds over (MIN,+): the paper designs all lower to it, so (+) below is
+/// min, (x) is the saturating sat_add and "better" is strictly smaller.
 enum class OpKind : std::uint8_t {
   /// slot[dst] = slot[a] (+) (w (x) slot[b])          — kern::mac
   kMac,
@@ -181,7 +178,6 @@ struct TapeStats {
 };
 
 struct CompiledNetlist {
-  TapeSemiring semiring = TapeSemiring::kMinPlus;
   std::uint32_t num_slots = 0;
   std::vector<SlotInit> init;
   /// Cycle-major, oracle program order inside a cycle.  Cache-line aligned:

@@ -318,7 +318,6 @@ CompiledNetlist Recorder::finish(bool parameterise) {
     bail("finish", "op tape and cycle index disagree");
   }
   CompiledNetlist net;
-  net.semiring = TapeSemiring::kMinPlus;
   net.num_slots = static_cast<std::uint32_t>(slots_.size());
   net.init = std::move(init_);
   net.ops = std::move(ops_);

@@ -34,9 +34,6 @@ class AndTree {
   explicit AndTree(std::size_t num_leaves);
 
   [[nodiscard]] std::size_t num_leaves() const noexcept { return leaves_; }
-  [[nodiscard]] std::size_t num_internal() const noexcept {
-    return leaves_ - 1;
-  }
   [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
   [[nodiscard]] const AndTreeNode& node(std::size_t i) const {
     return nodes_.at(i);

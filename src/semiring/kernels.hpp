@@ -28,12 +28,6 @@ template <Semiring S>
   return S::plus(acc, S::times(w, x));
 }
 
-/// Min-plus multiply-accumulate: min(acc, w + x), saturating at infinity.
-/// The scalar inner step of Designs 1 and 2.
-[[nodiscard]] constexpr Cost minplus_mac(Cost acc, Cost w, Cost x) noexcept {
-  return MinPlus::plus(acc, MinPlus::times(w, x));
-}
-
 /// Interval-DP candidate cost: left + right + local weight, saturating.
 /// The scalar step of the GKT / BST / polygon triangular cells.
 [[nodiscard]] constexpr Cost interval_candidate(Cost left, Cost right,
@@ -52,15 +46,6 @@ constexpr bool fold_min(Cost cand, std::size_t k, Cost& best,
     return true;
   }
   return false;
-}
-
-/// Min-plus inner product over contiguous rows — the dense form of the
-/// same kernel, for reference evaluators that hold a whole row.
-[[nodiscard]] constexpr Cost minplus_inner(const Cost* w, const Cost* x,
-                                           std::size_t n) noexcept {
-  Cost acc = MinPlus::zero();
-  for (std::size_t i = 0; i < n; ++i) acc = minplus_mac(acc, w[i], x[i]);
-  return acc;
 }
 
 }  // namespace sysdp::kern

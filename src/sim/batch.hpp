@@ -22,7 +22,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/stats.hpp"
 #include "sim/thread_pool.hpp"
 
 namespace sysdp::sim {
@@ -80,33 +79,5 @@ class BatchRunner {
  private:
   ThreadPool* pool_;
 };
-
-/// Time one sweep twice — serial loop, then batched across `pool` — and
-/// report the measured speedup.  Results of the batched run are returned
-/// through `out` (if non-null) so callers can cross-check bit-identity
-/// with the serial pass.
-template <typename Fn>
-[[nodiscard]] BatchSpeedup measure_batch_speedup(
-    ThreadPool& pool, std::size_t jobs, Fn&& make,
-    std::vector<std::invoke_result_t<Fn&, std::size_t>>* out = nullptr) {
-  using R = std::invoke_result_t<Fn&, std::size_t>;
-  BatchSpeedup s;
-  s.jobs = jobs;
-  s.lanes = pool.num_lanes();
-
-  BatchRunner serial(nullptr);
-  WallTimer t1;
-  std::vector<R> base = serial.run(jobs, make);
-  s.serial_seconds = t1.seconds();
-
-  BatchRunner batched(&pool);
-  WallTimer t2;
-  std::vector<R> par = batched.run(jobs, make);
-  s.batch_seconds = t2.seconds();
-
-  if (out != nullptr) *out = std::move(par);
-  (void)base;
-  return s;
-}
 
 }  // namespace sysdp::sim

@@ -200,13 +200,6 @@ void Engine::refresh_active() {
 
 void Engine::step() {
   if (now_ == 0) {
-    if (elaboration_check_) {
-      // One-shot: the netlist is complete (add/add_wakeup reject changes
-      // once time starts), so the verdict cannot change on later cycles.
-      const auto check = std::move(elaboration_check_);
-      elaboration_check_ = nullptr;
-      check(*this);
-    }
     for (EngineObserver* obs : observers_) obs->on_elaborated(*this);
   }
   if (gating_ == Gating::kSparse && !dense_fallback_) {

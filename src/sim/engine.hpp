@@ -79,16 +79,6 @@ class Engine {
   /// the late edge silently fail to guard the cycles that already passed.
   void add_wakeup(const Module& src, const Module& dst);
 
-  /// Install a check that runs once, at the first step(), after the
-  /// netlist is fully elaborated and before any module evaluates.  The
-  /// analysis layer uses this for the opt-in debug mode that lints every
-  /// engine at elaboration and fails fast (analysis::attach_debug_lint);
-  /// the hook keeps sim free of a dependency on the analysis library.
-  /// Throwing from the check aborts the run before cycle 0.
-  void set_elaboration_check(std::function<void(const Engine&)> check) {
-    elaboration_check_ = std::move(check);
-  }
-
   /// Attach a telemetry probe (see sim/observer.hpp).  The observer is
   /// borrowed, not owned, and must outlive the engine's stepping.  Must be
   /// called before the first step() — on_elaborated fires exactly once, at
@@ -188,12 +178,9 @@ class Engine {
     return dense_fallback_ ? Gating::kDense : gating_;
   }
 
-  /// Module evaluations actually performed so far.  In dense mode this is
-  /// modules x cycles; in sparse mode only active modules count.
-  [[nodiscard]] std::uint64_t module_evals() const noexcept {
-    return active_evals_;
-  }
-  /// Same as module_evals() — the numerator of activity().
+  /// Module evaluations actually performed so far — the numerator of
+  /// activity().  In dense mode this is modules x cycles; in sparse mode
+  /// only active modules count.
   [[nodiscard]] std::uint64_t active_evals() const noexcept {
     return active_evals_;
   }
@@ -249,7 +236,6 @@ class Engine {
   std::vector<std::uint32_t> active_regs_;
   std::vector<std::uint32_t> woken_;  ///< refresh_active scratch
   bool gated_init_ = false;
-  std::function<void(const Engine&)> elaboration_check_;
   std::vector<EngineObserver*> observers_;
   OpRecorder* recorder_ = nullptr;
   Gating gating_ = Gating::kDense;

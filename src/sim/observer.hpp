@@ -39,9 +39,10 @@ class EngineObserver {
  public:
   virtual ~EngineObserver() = default;
 
-  /// Fired once, at the first step(), after the netlist is complete and any
-  /// elaboration check has passed, before any module evaluates.  This is
-  /// where a probe walks Module::describe_ports and builds its sample plan.
+  /// Fired at the first step(), after the netlist is complete and before
+  /// any module evaluates.  This is where a probe walks
+  /// Module::describe_ports and builds its sample plan; throwing aborts
+  /// the run before cycle 0 (analysis::DebugLint).
   virtual void on_elaborated(const Engine& engine) { (void)engine; }
 
   /// Fired after cycle `t` fully completed (eval + commit done, so all

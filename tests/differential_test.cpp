@@ -489,7 +489,6 @@ constexpr std::uint32_t kBatchWidths[] = {1, 2, 3, 8, 17};
 /// expected values) are the only permitted difference.
 void expect_same_shape(const compile::CompiledNetlist& a,
                        const compile::CompiledNetlist& b) {
-  ASSERT_EQ(a.semiring, b.semiring);
   ASSERT_EQ(a.num_slots, b.num_slots);
   ASSERT_EQ(a.cycle_off, b.cycle_off);
   ASSERT_EQ(a.ops.size(), b.ops.size());

@@ -287,19 +287,32 @@ struct Narrated {
   Netlist netlist;
 };
 
+/// Captures the engine's netlist once it is fully elaborated.
+class CaptureAtElaboration : public sim::EngineObserver {
+ public:
+  CaptureAtElaboration(analysis::CaptureOptions opts, Netlist& out)
+      : opts_(std::move(opts)), out_(out) {}
+  void on_elaborated(const sim::Engine& engine) override {
+    out_ = analysis::capture(engine, opts_);
+  }
+
+ private:
+  analysis::CaptureOptions opts_;
+  Netlist& out_;
+};
+
 Narrated narrate(const std::function<void(sim::Engine&)>& run,
                  const std::function<void(sim::PortSet&)>& environment) {
   sim::Engine oracle;
   compile::Recorder rec;
   LaneKeyProbe probe(rec);
-  oracle.set_recorder(&probe);
-  oracle.add_observer(&probe);
   Narrated out;
-  oracle.set_elaboration_check([&](const sim::Engine& e) {
-    analysis::CaptureOptions copts;
-    environment(copts.environment);
-    out.netlist = analysis::capture(e, copts);
-  });
+  analysis::CaptureOptions copts;
+  environment(copts.environment);
+  CaptureAtElaboration capturer(std::move(copts), out.netlist);
+  oracle.set_recorder(&probe);
+  oracle.add_observer(&capturer);
+  oracle.add_observer(&probe);
   run(oracle);
   out.net = rec.finish();
   out.keys = std::move(probe.keys);

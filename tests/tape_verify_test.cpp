@@ -131,19 +131,14 @@ TEST(TapeVerify, LevelScheduleFixtureReadFromFuture) {
       << rep.to_text();
 }
 
-TEST(TapeVerify, LevelScheduleSlackBoundFires) {
+TEST(TapeVerify, LevelScheduleReportsTransportSlack) {
   auto net = small_tape();
   // An empty level between producer and consumer: one level of transport
-  // slack, legal by default, an error under a zero bound.
+  // slack, measured and legal.
   net.cycle_off = {0, 1, 1, 2};
-  const auto baseline = analysis::verify_tape(net, "fixture");
-  EXPECT_TRUE(baseline.clean()) << baseline.to_text();
-  EXPECT_EQ(baseline.stats.max_transport_slack, 1u);
-
-  TapeVerifyOptions opt;
-  opt.max_transport_slack = 0;
-  const auto rep = analysis::verify_tape(net, "fixture", opt);
-  expect_exactly(rep, TapeVerifier::kLevelSchedule, Severity::kError);
+  const auto rep = analysis::verify_tape(net, "fixture");
+  EXPECT_TRUE(rep.clean()) << rep.to_text();
+  EXPECT_EQ(rep.stats.max_transport_slack, 1u);
 }
 
 TEST(TapeVerify, SingleAssignmentFixtureDoubleWrite) {
@@ -364,29 +359,6 @@ TEST(TapeVerify, VerifyOrThrowCarriesTheReport) {
   }
 }
 
-TEST(TapeVerify, SetSeverityOverridesAndListsKnownChecks) {
-  TapeVerifier v;
-  v.set_severity(TapeVerifier::kSingleAssignment, Severity::kNote);
-  auto net = small_tape();
-  net.init = {{0, 10}, {1, 4}, {0, 10}};
-  const auto rep = v.run(net, "demoted");
-  EXPECT_TRUE(rep.clean()) << rep.to_text();
-  EXPECT_EQ(count_check(rep, TapeVerifier::kSingleAssignment,
-                        Severity::kNote),
-            1u);
-
-  try {
-    v.set_severity("no-such-check", Severity::kError);
-    FAIL() << "expected set_severity to throw";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("no-such-check"), std::string::npos) << what;
-    // The message must enumerate the real check names.
-    EXPECT_NE(what.find("compaction-safety"), std::string::npos) << what;
-    EXPECT_NE(what.find("value-range"), std::string::npos) << what;
-  }
-}
-
 TEST(TapeVerify, JsonReportIsWellShaped) {
   const auto rep = analysis::verify_tape(small_tape(), "json \"quoted\"");
   const std::string doc = rep.to_json();
@@ -449,15 +421,6 @@ TEST(TapeVerifyText, CorruptFixturesReportExactSites) {
     cases.push_back({"read from the future", net, {},
                      {"level-schedule error op#0@L0 'slot2'",
                       "output-reachability warning op#1@L1 'slot2'",
-                      "level-schedule note tape ''"}});
-  }
-  {
-    auto net = small_tape();
-    net.cycle_off = {0, 1, 1, 2};
-    TapeVerifyOptions opt;
-    opt.max_transport_slack = 0;
-    cases.push_back({"slack bound", net, opt,
-                     {"level-schedule error op#1@L2 'slot3'",
                       "level-schedule note tape ''"}});
   }
   {
